@@ -124,23 +124,35 @@ def _resolve_settings(
                 "endpoint", None, file_config, ProviderConfig.endpoint_url
             ),
             model_name=_setting("model", model, file_config, ProviderConfig.model_name),
-            temperature=_setting("temperature", None, file_config, 0.0),
-            max_retries=_setting("max_retries", None, file_config, 3),
-            parallelism=_setting("parallelism", parallelism, file_config, 1),
+            temperature=_setting(
+                "temperature", None, file_config, ProviderConfig.temperature
+            ),
+            max_retries=_setting(
+                "max_retries", None, file_config, ProviderConfig.max_retries
+            ),
+            parallelism=_setting(
+                "parallelism", parallelism, file_config, ProviderConfig.parallelism
+            ),
             requests_per_minute=_setting(
-                "requests_per_minute", None, file_config, 30.0
+                "requests_per_minute", None, file_config,
+                ProviderConfig.requests_per_minute,
             ),
-            cache_dir=Path(
-                _setting("cache_dir", None, file_config, ".causaltext_cache")
+            cache_dir=_setting("cache_dir", None, file_config, ProviderConfig.cache_dir),
+            api_key_env=_setting(
+                "api_key_env", None, file_config, ProviderConfig.api_key_env
             ),
-            api_key_env=_setting("api_key_env", None, file_config, "OPENAI_API_KEY"),
         )
         pipeline = PipelineConfig(
-            entity_cap=_setting("entity_cap", entity_cap, file_config, 20),
-            enforce_acyclic=_setting(
-                "enforce_acyclic", enforce_acyclic or None, file_config, False
+            entity_cap=_setting(
+                "entity_cap", entity_cap, file_config, PipelineConfig.entity_cap
             ),
-            domain_hint=_setting("domain_hint", domain_hint, file_config, ""),
+            enforce_acyclic=_setting(
+                "enforce_acyclic", enforce_acyclic or None, file_config,
+                PipelineConfig.enforce_acyclic,
+            ),
+            domain_hint=_setting(
+                "domain_hint", domain_hint, file_config, PipelineConfig.domain_hint
+            ),
         )
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -28,9 +27,10 @@ from .graph import (
     compare_graphs,
     Entity,
     normalize_label,
+    prf,
 )
-from .pipeline import PipelineRun, _query_with_exchanges
-from .prompts import OrientationQuestion, Verdict
+from .pipeline import PipelineRun, _query_with_exchanges, fan_out
+from .prompts import OrientationQuestion, Verdict, oriented
 
 log = logging.getLogger(__name__)
 
@@ -243,16 +243,6 @@ class PairwiseReport:
         }
 
 
-def _class_metrics(tp: int, fp: int, fn: int) -> ClassMetrics:
-    precision = Fraction(tp, tp + fp) if tp + fp else Fraction(1)
-    recall = Fraction(tp, tp + fn) if tp + fn else Fraction(1)
-    if precision + recall == 0:
-        f1 = Fraction(0)
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return ClassMetrics(precision, recall, f1)
-
-
 def compute_report(confusion: ConfusionMatrix) -> PairwiseReport:
     """Derive all metrics from the grid alone.
 
@@ -263,8 +253,8 @@ def compute_report(confusion: ConfusionMatrix) -> PairwiseReport:
     if confusion.grid_total == 0:
         raise EmptyEvaluationSetError("confusion grid is empty")
     (ff, fb), (bf, bb) = confusion.grid
-    forward = _class_metrics(tp=ff, fp=fb, fn=bf)
-    backward = _class_metrics(tp=bb, fp=bf, fn=fb)
+    forward = ClassMetrics(*prf(tp=ff, fp=fb, fn=bf))
+    backward = ClassMetrics(*prf(tp=bb, fp=bf, fn=fb))
     return PairwiseReport(
         confusion=confusion,
         forward=forward,
@@ -301,17 +291,6 @@ def _record_question(record: SemEvalRecord) -> OrientationQuestion:
     return OrientationQuestion.from_pair(record.sentence, e1, e2)
 
 
-def _predicted_orientation(
-    question: OrientationQuestion, verdict: Verdict
-) -> Orientation | None:
-    if verdict in (Verdict.NO_RELATION, Verdict.UNPARSABLE):
-        return None
-    a_is_e1 = question.entity_a.id == "e1"
-    if verdict is Verdict.FORWARD:
-        return Orientation.E1_CAUSES_E2 if a_is_e1 else Orientation.E2_CAUSES_E1
-    return Orientation.E2_CAUSES_E1 if a_is_e1 else Orientation.E1_CAUSES_E2
-
-
 def run_pairwise_eval(
     records: Sequence[SemEvalRecord], gateway: Gateway
 ) -> PairwiseReport:
@@ -343,20 +322,18 @@ def run_pairwise_eval(
         parsed, _ = _query_with_exchanges(question, gateway)
         return question, parsed.verdict
 
-    with ThreadPoolExecutor(max_workers=gateway.config.parallelism) as pool:
-        futures = [pool.submit(ask, record) for record in causal]
-        for record, future in zip(causal, futures):
-            question, verdict = future.result()
-            if verdict is Verdict.UNPARSABLE or question is None:
-                unparsable += 1
-                continue
-            predicted = _predicted_orientation(question, verdict)
-            if predicted is None:
-                abstained += 1
-                continue
-            row = 0 if predicted is Orientation.E1_CAUSES_E2 else 1
-            col = 0 if record.causal_orientation is Orientation.E1_CAUSES_E2 else 1
-            grid[row][col] += 1
+    answers = fan_out(ask, causal, gateway.config.parallelism)
+    for (question, verdict), record in zip(answers, causal):
+        if verdict is Verdict.UNPARSABLE or question is None:
+            unparsable += 1
+            continue
+        predicted = oriented(question.pair_key, verdict)
+        if predicted is None:
+            abstained += 1
+            continue
+        row = 0 if predicted == ("e1", "e2") else 1
+        col = 0 if record.causal_orientation is Orientation.E1_CAUSES_E2 else 1
+        grid[row][col] += 1
 
     confusion = ConfusionMatrix(
         grid=(tuple(grid[0]), tuple(grid[1])),
@@ -423,10 +400,4 @@ def aggregate_comparisons(comparisons: Sequence[GraphComparison]) -> PooledCompa
     tp = sum(len(c.true_positive_arcs) for c in comparisons)
     fp = sum(len(c.false_positive_arcs) for c in comparisons)
     fn = sum(len(c.false_negative_arcs) for c in comparisons)
-    precision = Fraction(tp, tp + fp) if tp + fp else Fraction(1)
-    recall = Fraction(tp, tp + fn) if tp + fn else Fraction(1)
-    if precision + recall == 0:
-        f1 = Fraction(0)
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return PooledComparison(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1)
+    return PooledComparison(tp, fp, fn, *prf(tp, fp, fn))

@@ -145,20 +145,16 @@ class CausalGraph:
             self._entities[entity.id] = entity
         self._arcs: dict[tuple[str, str], Arc] = {}
         for arc in arcs:
-            self._check_arc(arc)
+            for endpoint in arc.pair:
+                if endpoint not in self._entities:
+                    raise UnknownEntityError(f"unknown entity {endpoint!r}")
+            if arc.pair in self._arcs:
+                raise ValueError(f"duplicate arc {arc.cause!r} -> {arc.effect!r}")
+            if self.kind is GraphKind.EXTRACTED and (arc.effect, arc.cause) in self._arcs:
+                raise OppositeArcConflictError(
+                    f"arc {arc.cause!r} -> {arc.effect!r} opposes an existing arc"
+                )
             self._arcs[arc.pair] = arc.copy()
-
-    def _check_arc(self, arc: Arc) -> None:
-        for endpoint in arc.pair:
-            if endpoint not in self._entities:
-                raise UnknownEntityError(f"unknown entity {endpoint!r}")
-        if arc.pair in self._arcs:
-            raise ValueError(f"duplicate arc {arc.cause!r} -> {arc.effect!r}")
-        reverse = (arc.effect, arc.cause)
-        if self.kind is GraphKind.EXTRACTED and reverse in self._arcs:
-            raise OppositeArcConflictError(
-                f"arc {arc.cause!r} -> {arc.effect!r} opposes an existing arc"
-            )
 
     @property
     def entities(self) -> tuple[Entity, ...]:
@@ -226,11 +222,9 @@ def add_arc(graph: CausalGraph, arc: Arc) -> CausalGraph:
     first insertion wins. Adding the reverse of an existing arc to an
     extracted graph raises :class:`OppositeArcConflictError`.
     """
-    existing = graph.arc(arc.cause, arc.effect)
-    if existing is not None:
+    if graph.arc(arc.cause, arc.effect) is not None:
         return graph
-    graph._check_arc(arc)
-    return CausalGraph(graph.kind, graph._entities.values(), [*graph._arcs.values(), arc])
+    return CausalGraph(graph.kind, graph.entities, [*graph.arcs, arc])
 
 
 @dataclass(frozen=True)
@@ -344,7 +338,7 @@ def enforce_acyclicity(
     lexicographically smallest (cause, effect). Returns the acyclic graph and
     the removed arcs in removal order. Deterministic for a given input.
     """
-    work = CausalGraph(graph.kind, graph._entities.values(), graph._arcs.values())
+    work = CausalGraph(graph.kind, graph.entities, graph.arcs)
     removed: list[Arc] = []
     while True:
         report = detect_cycles(work, cycle_cap=cycle_cap)
@@ -365,8 +359,8 @@ def enforce_acyclicity(
         victim = work.arc(*victim_pair)
         assert victim is not None
         removed.append(victim)
-        remaining = [arc for arc in work._arcs.values() if arc.pair != victim_pair]
-        work = CausalGraph(work.kind, work._entities.values(), remaining)
+        remaining = [arc for arc in work.arcs if arc.pair != victim_pair]
+        work = CausalGraph(work.kind, work.entities, remaining)
 
 
 @dataclass(frozen=True)
@@ -405,10 +399,16 @@ class GraphComparison:
         }
 
 
-def _ratio(hits: int, denominator: int) -> Fraction:
-    if denominator == 0:
-        return Fraction(1)
-    return Fraction(hits, denominator)
+def prf(tp: int, fp: int, fn: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Precision, recall and F1 from true/false-positive and false-negative counts.
+
+    An empty denominator scores 1, since its error set is empty too; F1 is 0
+    when precision and recall are both 0.
+    """
+    precision = Fraction(tp, tp + fp) if tp + fp else Fraction(1)
+    recall = Fraction(tp, tp + fn) if tp + fn else Fraction(1)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else Fraction(0)
+    return precision, recall, f1
 
 
 def _label_pairs(graph: CausalGraph) -> frozenset[tuple[str, str]]:
@@ -425,12 +425,7 @@ def compare_graphs(extracted: CausalGraph, truth: CausalGraph) -> GraphCompariso
     tp = extracted_pairs & truth_pairs
     fp = extracted_pairs - truth_pairs
     fn = truth_pairs - extracted_pairs
-    precision = _ratio(len(tp), len(tp) + len(fp))
-    recall = _ratio(len(tp), len(tp) + len(fn))
-    if precision + recall == 0:
-        f1 = Fraction(0)
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
+    precision, recall, f1 = prf(len(tp), len(fp), len(fn))
     return GraphComparison(
         true_positive_arcs=frozenset(tp),
         false_positive_arcs=frozenset(fp),

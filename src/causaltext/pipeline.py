@@ -9,12 +9,14 @@ order, so a replayed run is deterministic at any parallelism.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     CausalTextError,
@@ -38,12 +40,12 @@ from .graph import (
     flag_transitive_candidates,
 )
 from .prompts import (
-    EntityList,
     OrientationQuestion,
     ParsedVerdict,
     Verdict,
     entity_offset,
     find_first_offset,
+    oriented,
     parse_entity_list,
     parse_verdict,
     render_entity_prompt,
@@ -58,6 +60,18 @@ DEFAULT_ENTITY_CAP = 20
 PairKey = tuple[str, str]
 
 
+def fan_out(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
+    """Yield ``fn(item)`` for every item, in input order, on ``parallelism`` threads.
+
+    The first exception propagates to the consumer and cancels every call
+    that has not started yet; calls already running are awaited. Put the
+    generator first in a ``zip`` so the pool shuts down once the last result
+    has been read.
+    """
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        yield from pool.map(fn, items)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Run-level knobs; provider behaviour lives in the gateway config."""
@@ -69,10 +83,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.entity_cap < 2:
             raise ValueError("entity_cap must be >= 2")
-
-
-def _locate(source_text: str, spans: EntityList) -> dict[str, int | None]:
-    return {span: find_first_offset(source_text, span) for span in spans.entities}
 
 
 def extract_entities(
@@ -92,7 +102,7 @@ def extract_entities(
     prompt = render_entity_prompt(source_text, domain_hint)
     exchange = gateway.cached_complete(prompt)
     listing = parse_entity_list(exchange.reply_text)
-    offsets = _locate(source_text, listing)
+    offsets = {span: find_first_offset(source_text, span) for span in listing.entities}
 
     grouped: set[str] = set()
     entities: list[Entity] = []
@@ -191,19 +201,14 @@ def build_graph(
     behind the verdict; without it a synthetic pair reference keeps the
     provenance trail non-empty.
     """
-    graph = CausalGraph(GraphKind.EXTRACTED, entities)
     arcs = []
     for (a, b), parsed in sorted(verdicts.items()):
-        if parsed.verdict is Verdict.FORWARD:
-            cause, effect = a, b
-        elif parsed.verdict is Verdict.BACKWARD:
-            cause, effect = b, a
-        else:
+        arc = oriented((a, b), parsed.verdict)
+        if arc is None:
             continue
         reference = (sources or {}).get((a, b)) or f"pair:{a}->{b}"
         arcs.append(
-            Arc(cause=cause, effect=effect, provenance=Provenance.LLM_VERDICT,
-                source_exchange=reference)
+            Arc(*arc, provenance=Provenance.LLM_VERDICT, source_exchange=reference)
         )
     return CausalGraph(GraphKind.EXTRACTED, entities, arcs)
 
@@ -226,15 +231,7 @@ class RunStats:
     projected_serial_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "query_count": self.query_count,
-            "reask_count": self.reask_count,
-            "abstention_count": self.abstention_count,
-            "unparsable_count": self.unparsable_count,
-            "mean_latency": self.mean_latency,
-            "stdev_latency": self.stdev_latency,
-            "projected_serial_seconds": self.projected_serial_seconds,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -309,16 +306,15 @@ def run_pipeline(
 
     verdicts: dict[PairKey, ParsedVerdict] = {}
     exchange_lists: list[tuple[ChatExchange, ...]] = []
+    answers = fan_out(
+        lambda question: _query_with_exchanges(question, gateway),
+        questions,
+        gateway.config.parallelism,
+    )
     try:
-        with ThreadPoolExecutor(max_workers=gateway.config.parallelism) as pool:
-            futures = [
-                pool.submit(_query_with_exchanges, question, gateway)
-                for question in questions
-            ]
-            for question, future in zip(questions, futures):
-                parsed, exchanges = future.result()
-                verdicts[question.pair_key] = parsed
-                exchange_lists.append(exchanges)
+        for (parsed, exchanges), question in zip(answers, questions):
+            verdicts[question.pair_key] = parsed
+            exchange_lists.append(exchanges)
     except CausalTextError as exc:
         partial["verdicts"] = verdicts
         raise fail(exc) from exc
@@ -445,32 +441,40 @@ def orient_cpdag(
     """Orient the undirected edges of a discovery output against a text.
 
     Already-directed arcs pass through untouched (provenance Imported) and
-    cost zero queries. Each undirected edge is asked once; NoRelation or a
-    still-unparsable reply drops the edge with a warning, since the discovery
-    algorithm asserted adjacency but the text did not confirm a direction.
+    cost zero queries. Every endpoint of an undirected edge is located in the
+    text before the first query. Each undirected edge is then asked once, up
+    to the gateway's parallelism at a time; NoRelation or a still-unparsable
+    reply drops the edge with a warning, since the discovery algorithm
+    asserted adjacency but the text did not confirm a direction.
     """
     by_id = {entity.id: entity for entity in pdag.entities}
+
+    def located(entity_id: str) -> Entity:
+        entity = by_id[entity_id]
+        offset = entity_offset(source_text, entity)
+        if offset is None:
+            raise EntityNotInTextError(
+                f"no surface form of {entity.canonical_label!r} occurs in the text"
+            )
+        return replace(entity, first_offset=offset)
+
+    edges = sorted(pdag.undirected_edges)
+    questions = [
+        OrientationQuestion.from_pair(source_text, located(a_id), located(b_id))
+        for a_id, b_id in edges
+    ]
+    answers = fan_out(
+        lambda question: _query_with_exchanges(question, gateway),
+        questions,
+        gateway.config.parallelism,
+    )
     arcs = [
         Arc(cause=cause, effect=effect, provenance=Provenance.IMPORTED)
         for cause, effect in pdag.directed_arcs
     ]
-    for a_id, b_id in sorted(pdag.undirected_edges):
-        located = []
-        for entity_id in (a_id, b_id):
-            entity = by_id[entity_id]
-            offset = entity_offset(source_text, entity)
-            if offset is None:
-                raise EntityNotInTextError(
-                    f"no surface form of {entity.canonical_label!r} occurs in the text"
-                )
-            located.append(replace(entity, first_offset=offset))
-        question = OrientationQuestion.from_pair(source_text, located[0], located[1])
-        parsed, exchanges = _query_with_exchanges(question, gateway)
-        if parsed.verdict is Verdict.FORWARD:
-            cause, effect = question.entity_a.id, question.entity_b.id
-        elif parsed.verdict is Verdict.BACKWARD:
-            cause, effect = question.entity_b.id, question.entity_a.id
-        else:
+    for (parsed, exchanges), (a_id, b_id), question in zip(answers, edges, questions):
+        arc = oriented(question.pair_key, parsed.verdict)
+        if arc is None:
             log.warning(
                 "dropping undirected edge %r - %r: text did not confirm a direction",
                 a_id,
@@ -479,8 +483,7 @@ def orient_cpdag(
             continue
         arcs.append(
             Arc(
-                cause=cause,
-                effect=effect,
+                *arc,
                 provenance=Provenance.LLM_VERDICT,
                 source_exchange=exchanges[-1].prompt.fingerprint,
             )

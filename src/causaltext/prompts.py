@@ -127,6 +127,19 @@ class Verdict(Enum):
     UNPARSABLE = "unparsable"
 
 
+def oriented(pair: tuple[str, str], verdict: Verdict) -> tuple[str, str] | None:
+    """The (cause, effect) arc a verdict asserts over a question's ``pair``.
+
+    Forward keeps the question order, Backward reverses it; NoRelation and
+    Unparsable assert no arc and give None.
+    """
+    if verdict is Verdict.FORWARD:
+        return pair
+    if verdict is Verdict.BACKWARD:
+        return (pair[1], pair[0])
+    return None
+
+
 @dataclass(frozen=True)
 class ParsedVerdict:
     verdict: Verdict

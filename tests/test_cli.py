@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ from click.testing import CliRunner
 
 from causaltext.cli import _resolve_settings, main
 from causaltext.errors import CausalTextError
-from causaltext.gateway import ReplayEntry, ReplayFixture
+from causaltext.gateway import ProviderConfig, ReplayEntry, ReplayFixture
 from causaltext.graph import (
     Arc,
     CausalGraph,
@@ -18,6 +20,7 @@ from causaltext.graph import (
     flag_transitive_candidates,
     serialize_graph,
 )
+from causaltext.pipeline import PipelineConfig
 from synth import benchmark_with_scripted_replies, pipeline_document
 
 
@@ -477,3 +480,16 @@ def test_settings_reject_unknown_config_keys(tmp_path):
             replay=None, record=None, model=None, parallelism=None,
             entity_cap=None, enforce_acyclic=False, out=None, domain_hint=None,
         )
+
+
+def test_settings_defaults_are_the_config_class_defaults(monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("CAUSALTEXT_"):
+            monkeypatch.delenv(name)
+    settings = _resolve_settings(
+        config_path=None,
+        replay=None, record=None, model=None, parallelism=None,
+        entity_cap=None, enforce_acyclic=False, out=None, domain_hint=None,
+    )
+    assert dataclasses.asdict(settings.provider) == dataclasses.asdict(ProviderConfig())
+    assert dataclasses.asdict(settings.pipeline) == dataclasses.asdict(PipelineConfig())

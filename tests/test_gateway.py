@@ -151,7 +151,9 @@ def fake_endpoint():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FakeHandler)
     server.script = []
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()

@@ -6,12 +6,20 @@ import random
 import pytest
 
 from causaltext.errors import (
+    AuthError,
+    EntityNotInTextError,
     GraphFileError,
     OppositeArcConflictError,
     PipelineStageError,
     TooFewEntitiesError,
 )
-from causaltext.gateway import ReplayEntry, ReplayFixture
+from causaltext.gateway import (
+    ExchangeSource,
+    Gateway,
+    ProviderConfig,
+    ReplayEntry,
+    ReplayFixture,
+)
 from causaltext.graph import (
     Arc,
     Entity,
@@ -40,7 +48,7 @@ from causaltext.prompts import (
     render_orientation_prompt,
     render_reask_prompt,
 )
-from conftest import DATA_DIR
+from conftest import DATA_DIR, CountingTransport
 from synth import expected_pipeline_arcs, pipeline_document
 
 MEDICAL_HINT = "diseases, medications, treatments, and symptoms"
@@ -415,6 +423,31 @@ def test_run_pipeline_failure_before_any_stage(gateway_factory):
     assert excinfo.value.completed_stage is None
 
 
+def test_run_pipeline_stops_spending_after_a_fatal_error(tmp_path):
+    source_text, fixture = pipeline_document(20, modulus=9)
+    entity_fingerprint = render_entity_prompt(source_text, "").fingerprint
+
+    class RefuseOrientation:
+        source = ExchangeSource.LIVE
+
+        def send(self, prompt):
+            if prompt.fingerprint == entity_fingerprint:
+                return fixture.entries[entity_fingerprint].reply_text, 0.0
+            raise AuthError("provider rejected the credential (401)")
+
+    for parallelism in (1, 4):
+        transport = CountingTransport(RefuseOrientation())
+        config = ProviderConfig(
+            cache_dir=tmp_path / f"cache{parallelism}",
+            parallelism=parallelism,
+            requests_per_minute=1e9,
+        )
+        with pytest.raises(PipelineStageError) as excinfo:
+            run_pipeline(source_text, "", PipelineConfig(), Gateway(config, transport))
+        assert excinfo.value.completed_stage == "enumerate_pairs"
+        assert transport.calls < 50, (parallelism, transport.calls)
+
+
 def test_run_pipeline_enforce_acyclic(gateway_factory):
     text = "alpha alters beta and beta alters gamma today"
     names = ["alpha", "beta", "gamma"]
@@ -474,13 +507,16 @@ def test_orient_cpdag_composes_imported_and_queried_arcs(gateway_factory):
     gamma = Entity(id="c", canonical_label="gamma", first_offset=text.index("gamma"))
     question = OrientationQuestion.from_pair(text, beta, gamma)
     prompt = render_orientation_prompt(question)
-    gateway, _ = gateway_factory(
-        ReplayFixture(entries={prompt.fingerprint: ReplayEntry("<Answer>A</Answer>")})
-    )
-    graph = orient_cpdag(pdag, text, gateway)
-    assert {arc.pair for arc in graph.arcs} == {("a", "b"), ("b", "c")}
-    assert graph.arc("a", "b").provenance is Provenance.IMPORTED
-    assert graph.arc("b", "c").provenance is Provenance.LLM_VERDICT
+    for reply, queried in (("A", ("b", "c")), ("B", ("c", "b"))):
+        gateway, _ = gateway_factory(
+            ReplayFixture(
+                entries={prompt.fingerprint: ReplayEntry(f"<Answer>{reply}</Answer>")}
+            )
+        )
+        graph = orient_cpdag(pdag, text, gateway)
+        assert {arc.pair for arc in graph.arcs} == {("a", "b"), queried}
+        assert graph.arc("a", "b").provenance is Provenance.IMPORTED
+        assert graph.arc(*queried).provenance is Provenance.LLM_VERDICT
 
 
 def test_orient_cpdag_zero_queries_when_fully_directed(gateway_factory):
@@ -522,6 +558,53 @@ def test_orient_cpdag_requires_endpoint_surface_forms_in_text(gateway_factory):
     gateway, _ = gateway_factory(ReplayFixture(strict=True))
     with pytest.raises(EntityNotInTextError):
         orient_cpdag(pdag, "alpha raises beta but nothing else", gateway)
+
+
+def test_orient_cpdag_locates_every_endpoint_before_querying(gateway_factory):
+    text = "alpha raises beta but nothing else"
+    entities = (
+        Entity(id="a", canonical_label="alpha"),
+        Entity(id="b", canonical_label="beta"),
+        Entity(id="c", canonical_label="gamma"),
+    )
+    question = OrientationQuestion.from_pair(
+        text, entity("alpha", 0), entity("beta", text.index("beta"))
+    )
+    fixture = ReplayFixture(
+        entries={
+            render_orientation_prompt(question).fingerprint: ReplayEntry(
+                "<Answer>A</Answer>"
+            )
+        }
+    )
+    pdag = PartiallyDirectedGraph(
+        entities=entities, directed_arcs=(), undirected_edges=(("a", "b"), ("b", "c"))
+    )
+    gateway, counter = gateway_factory(fixture, counting=True)
+    with pytest.raises(EntityNotInTextError):
+        orient_cpdag(pdag, text, gateway)
+    assert counter.calls == 0
+
+
+def test_orient_cpdag_deterministic_across_parallelism(gateway_factory):
+    source_text, fixture = pipeline_document(6)
+    names = [f"factor{i:02d}" for i in range(6)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    pdag = PartiallyDirectedGraph(
+        entities=tuple(Entity(id=name, canonical_label=name) for name in names),
+        directed_arcs=(pairs[0],),
+        undirected_edges=tuple(pairs[1:]),
+    )
+    graphs = []
+    for parallelism in (1, 4):
+        gateway, counter = gateway_factory(fixture, parallelism=parallelism, counting=True)
+        graphs.append(orient_cpdag(pdag, source_text, gateway))
+        assert counter.calls == len(pairs) - 1
+    expected = {
+        arc for arc in expected_pipeline_arcs(6) if set(arc) != set(pairs[0])
+    } | {pairs[0]}
+    assert {arc.pair for arc in graphs[0].arcs} == expected
+    assert graphs[0] == graphs[1]
 
 
 def test_pdag_rejects_overlapping_pairs():
