@@ -18,7 +18,6 @@ import click
 
 from .errors import (
     CausalTextError,
-    EmptyEvaluationSetError,
     GraphFileError,
     ParseError,
     RunLockHeldError,
@@ -278,8 +277,9 @@ def eval_pairs(semeval_path, **options) -> None:
         _fail(str(exc))
 
     try:
-        report = run_pairwise_eval(records, gateway)
-    except (EmptyEvaluationSetError, CausalTextError) as exc:
+        with run_lock(settings.provider.cache_dir):
+            report = run_pairwise_eval(records, gateway)
+    except CausalTextError as exc:  # RunLockHeldError included
         _fail(str(exc))
     finally:
         if recorder is not None and settings.record_path:

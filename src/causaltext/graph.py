@@ -335,18 +335,26 @@ def enforce_acyclicity(
 
     While cycles remain, the arc lying on the most simple cycles is removed;
     ties prefer arcs already flagged ``SUSPECTED_TRANSITIVE``, then the
-    lexicographically smallest (cause, effect). Returns the acyclic graph and
-    the removed arcs in removal order. Deterministic for a given input.
+    lexicographically smallest (cause, effect). Returns the acyclic graph,
+    whose arcs have ``ON_DIRECTED_CYCLE`` cleared, and the removed arcs in
+    removal order; each removed arc keeps its flags, ``ON_DIRECTED_CYCLE``
+    included. Deterministic for a given input.
+
+    Cycles are enumerated once: removing an arc deletes exactly the cycles
+    through it and creates none, so after each removal those cycles are
+    dropped and the coverage counts recomputed. The first enumeration is the
+    largest, so the ``cycle_cap`` check there is the only one needed.
     """
     work = CausalGraph(graph.kind, graph.entities, graph.arcs)
+    report = detect_cycles(work, cycle_cap=cycle_cap)
+    if report.is_acyclic:
+        return work, ()
+    cycles = [set(_cycle_arcs(cycle)) for cycle in report.cycles]
     removed: list[Arc] = []
-    while True:
-        report = detect_cycles(work, cycle_cap=cycle_cap)
-        if report.is_acyclic:
-            return work, tuple(removed)
+    while cycles:
         coverage: dict[tuple[str, str], int] = {}
-        for cycle in report.cycles:
-            for pair in _cycle_arcs(cycle):
+        for cycle in cycles:
+            for pair in cycle:
                 coverage[pair] = coverage.get(pair, 0) + 1
         victim_pair = min(
             coverage,
@@ -356,11 +364,15 @@ def enforce_acyclicity(
                 pair,
             ),
         )
-        victim = work.arc(*victim_pair)
-        assert victim is not None
-        removed.append(victim)
-        remaining = [arc for arc in work.arcs if arc.pair != victim_pair]
-        work = CausalGraph(work.kind, work.entities, remaining)
+        removed.append(work.arc(*victim_pair))
+        cycles = [cycle for cycle in cycles if victim_pair not in cycle]
+    victims = {arc.pair for arc in removed}
+    result = CausalGraph(
+        work.kind, work.entities, [arc for arc in work.arcs if arc.pair not in victims]
+    )
+    for arc in result.arcs:
+        arc.flags.discard(ArcFlag.ON_DIRECTED_CYCLE)
+    return result, tuple(removed)
 
 
 @dataclass(frozen=True)

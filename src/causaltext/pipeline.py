@@ -63,11 +63,16 @@ PairKey = tuple[str, str]
 def fan_out(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
     """Yield ``fn(item)`` for every item, in input order, on ``parallelism`` threads.
 
-    The first exception propagates to the consumer and cancels every call
-    that has not started yet; calls already running are awaited. Put the
-    generator first in a ``zip`` so the pool shuts down once the last result
-    has been read.
+    At parallelism 1 the calls run lazily on the consumer's thread, one per
+    result read, so no call starts after the first exception. Larger values
+    use a thread pool: the first exception propagates to the consumer and
+    cancels every call that has not started yet; calls already running are
+    awaited. Put the generator first in a ``zip`` so the pool shuts down
+    once the last result has been read.
     """
+    if parallelism == 1:
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         yield from pool.map(fn, items)
 

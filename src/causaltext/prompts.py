@@ -46,17 +46,22 @@ class RenderedPrompt:
         return cls(system_text, user_text, prompt_fingerprint(system_text, user_text))
 
 
+def _form_pattern(surface_form: str) -> re.Pattern | None:
+    """Pattern for :func:`find_first_offset`'s matching rule; None for a blank form."""
+    tokens = [re.escape(token) for token in surface_form.split()]
+    if not tokens:
+        return None
+    return re.compile(r"\s+".join(tokens), re.IGNORECASE)
+
+
 def find_first_offset(source_text: str, surface_form: str) -> int | None:
     """Earliest character offset of a surface form, or None when absent.
 
     Matching is case-insensitive and tolerates arbitrary whitespace (line
     wraps) between the tokens of a multi-word form.
     """
-    tokens = [re.escape(token) for token in surface_form.split()]
-    if not tokens:
-        return None
-    pattern = re.compile(r"\s+".join(tokens), re.IGNORECASE)
-    match = pattern.search(source_text)
+    pattern = _form_pattern(surface_form)
+    match = pattern.search(source_text) if pattern else None
     return match.start() if match else None
 
 
@@ -70,12 +75,23 @@ def entity_offset(source_text: str, entity: Entity) -> int | None:
     return min(offsets) if offsets else None
 
 
+def _occurs_at_first_offset(source_text: str, entity: Entity) -> bool:
+    """True when some surface form of ``entity`` starts at its ``first_offset``."""
+    for form in entity.surface_forms:
+        pattern = _form_pattern(form)
+        if pattern and pattern.match(source_text, entity.first_offset):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class OrientationQuestion:
     """One pairwise cause-effect query over a source text.
 
     ``entity_a`` precedes ``entity_b`` in the document (first_offset order,
     ties broken by canonical label); both must actually occur in the text.
+    An entity is checked by an anchored match at its ``first_offset``; only
+    when that misses (a stale or default offset) is the whole text searched.
     """
 
     source_text: str
@@ -86,6 +102,8 @@ class OrientationQuestion:
         if self.entity_a.canonical_label == self.entity_b.canonical_label:
             raise ValueError("a question needs two distinct entities")
         for entity in (self.entity_a, self.entity_b):
+            if _occurs_at_first_offset(self.source_text, entity):
+                continue
             if entity_offset(self.source_text, entity) is None:
                 raise EntityNotInTextError(
                     f"no surface form of {entity.canonical_label!r} occurs in the text"

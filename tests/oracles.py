@@ -2,12 +2,22 @@
 
 Everything here is deliberately naive: permutation enumeration for cycles,
 exhaustive simple-path search for reachability, plain loops for the
-arc-difference counts. None of it shares code with the package.
+arc-difference counts. None of it shares code with the package, except
+:func:`reenumerating_enforce_acyclicity`, which builds on the package's graph
+type and cycle listing (both checked against the brute force above).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+from causaltext.graph import (
+    DEFAULT_CYCLE_CAP,
+    Arc,
+    ArcFlag,
+    CausalGraph,
+    detect_cycles,
+)
 
 
 def brute_force_simple_cycles(
@@ -79,3 +89,35 @@ def brute_force_has_witness_path(
             if successor not in path:
                 stack.append((successor, path + (successor,)))
     return False
+
+
+def reenumerating_enforce_acyclicity(
+    graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP
+) -> tuple[CausalGraph, tuple[Arc, ...]]:
+    """The cycle-coverage greedy that lists every cycle again after each removal.
+
+    While cycles remain, remove the arc on the most simple cycles; ties
+    prefer ``SUSPECTED_TRANSITIVE`` arcs, then the smallest (cause, effect).
+    """
+    work = CausalGraph(graph.kind, graph.entities, graph.arcs)
+    removed: list[Arc] = []
+    while True:
+        report = detect_cycles(work, cycle_cap=cycle_cap)
+        if report.is_acyclic:
+            return work, tuple(removed)
+        coverage: dict[tuple[str, str], int] = {}
+        for cycle in report.cycles:
+            for index, cause in enumerate(cycle):
+                pair = (cause, cycle[(index + 1) % len(cycle)])
+                coverage[pair] = coverage.get(pair, 0) + 1
+        victim_pair = min(
+            coverage,
+            key=lambda pair: (
+                -coverage[pair],
+                ArcFlag.SUSPECTED_TRANSITIVE not in work.arc(*pair).flags,
+                pair,
+            ),
+        )
+        removed.append(work.arc(*victim_pair))
+        remaining = [arc for arc in work.arcs if arc.pair != victim_pair]
+        work = CausalGraph(work.kind, work.entities, remaining)

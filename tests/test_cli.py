@@ -422,6 +422,28 @@ def test_cache_clear_refused_while_lock_held(tmp_path, runner):
     assert "in use" in result.output
 
 
+def test_eval_pairs_refused_while_lock_held(tmp_path, runner):
+    semeval_text, fixture = benchmark_with_scripted_replies()
+    semeval_path = tmp_path / "bench.txt"
+    semeval_path.write_text(semeval_text, encoding="utf-8")
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / ".runlock").write_text("123", encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["eval-pairs", "--replay", str(fixture_path), "--out", str(out), str(semeval_path)],
+        env=_env(tmp_path),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 1
+    assert ".runlock" in result.output
+    assert not (out / "pairwise_report.json").exists()
+    assert (cache_dir / ".runlock").read_text(encoding="utf-8") == "123"
+
+
 def test_cache_stats_fresh_directory(tmp_path, runner):
     result = runner.invoke(
         main, ["cache", "stats"], env=_env(tmp_path), catch_exceptions=False

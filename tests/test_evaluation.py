@@ -277,6 +277,17 @@ def test_run_pairwise_eval_full_scripted_benchmark(gateway_factory):
     assert report.confusion.record_total == 1003
 
 
+def test_run_pairwise_eval_inline_equals_pooled(gateway_factory):
+    semeval_text, fixture = benchmark_with_scripted_replies()
+    records = parse_semeval(semeval_text)
+    reports = [
+        run_pairwise_eval(records, gateway_factory(fixture, parallelism=p)[0])
+        for p in (1, 4)
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0].confusion.grid == ((335, 7), (6, 650))
+
+
 # --- graph evaluation -----------------------------------------------------------------
 
 

@@ -33,7 +33,12 @@ from causaltext.graph import (
 )
 from fractions import Fraction
 
-from oracles import brute_force_counts, brute_force_has_witness_path, brute_force_simple_cycles
+from oracles import (
+    brute_force_counts,
+    brute_force_has_witness_path,
+    brute_force_simple_cycles,
+    reenumerating_enforce_acyclicity,
+)
 
 
 def make_graph(ids: str, pairs, kind=GraphKind.EXTRACTED) -> CausalGraph:
@@ -276,6 +281,47 @@ def test_enforce_acyclicity_never_removes_off_cycle_arcs():
         assert detect_cycles(result).is_acyclic
         for arc in removed:
             assert arc.pair in on_cycle
+
+
+def _enforcement_outcome(enforce, graph: CausalGraph, cycle_cap: int):
+    """Removed pairs in order, their flags and the serialized result, or the error type."""
+    try:
+        result, removed = enforce(graph, cycle_cap=cycle_cap)
+    except CycleBudgetExceededError:
+        return CycleBudgetExceededError
+    return (
+        [arc.pair for arc in removed],
+        [sorted(flag.value for flag in arc.flags) for arc in removed],
+        serialize_graph(result),
+    )
+
+
+def test_enforce_acyclicity_matches_reenumerating_oracle_on_random_graphs():
+    rng = random.Random(4242)
+    cyclic = 0
+    for index in range(500):
+        kind = GraphKind.EXTRACTED if index % 2 else GraphKind.GROUND_TRUTH
+        graph = random_graph(rng, rng.randint(3, 11), rng.uniform(0.05, 0.4), kind=kind)
+        # flagged as run_pipeline leaves the graph before enforcement
+        cyclic += not detect_cycles(graph).is_acyclic
+        flag_transitive_candidates(graph)
+        expected = _enforcement_outcome(reenumerating_enforce_acyclicity, graph, 500)
+        assert _enforcement_outcome(enforce_acyclicity, graph, 500) == expected
+    assert cyclic > 200
+
+
+def test_enforce_acyclicity_cycle_cap_matches_reenumerating_oracle():
+    # Three cycles: a -> b -> a, a -> c -> a and a -> b -> c -> a.
+    graph = make_graph(
+        "abc",
+        [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("b", "a")],
+        kind=GraphKind.GROUND_TRUTH,
+    )
+    for enforce in (enforce_acyclicity, reenumerating_enforce_acyclicity):
+        with pytest.raises(CycleBudgetExceededError):
+            enforce(graph, cycle_cap=2)
+        _, removed = enforce(graph, cycle_cap=3)
+        assert removed
 
 
 # --- compare_graphs ------------------------------------------------------------------

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causaltext import prompts
 from causaltext.errors import EmptyTextError, EntityNotInTextError, NoEntitiesFoundError
 from causaltext.graph import Entity
+from causaltext.pipeline import enumerate_pairs
 from causaltext.prompts import (
     OrientationQuestion,
     RenderedPrompt,
@@ -259,6 +261,55 @@ def test_entity_offset_takes_earliest_surface_form():
         surface_forms=frozenset({"ft1d"}),
     )
     assert entity_offset(text, entity) == 0
+
+
+def counting_full_searches(monkeypatch) -> list[str]:
+    """Record every whole-text search made through ``find_first_offset``."""
+    searched: list[str] = []
+
+    def counted(source_text: str, surface_form: str) -> int | None:
+        searched.append(surface_form)
+        return find_first_offset(source_text, surface_form)
+
+    monkeypatch.setattr(prompts, "find_first_offset", counted)
+    return searched
+
+
+def test_question_with_stale_offset_falls_back_to_full_search(monkeypatch):
+    searched = counting_full_searches(monkeypatch)
+    text = "Heavy rain preceded the flood and the landslide."
+    rain = Entity(id="rain", canonical_label="rain", first_offset=0)
+    flood = Entity(id="flood", canonical_label="flood", first_offset=text.index("flood"))
+    question = OrientationQuestion.from_pair(text, rain, flood)
+    assert question.pair_key == ("rain", "flood")
+    assert searched == ["rain"]
+    absent = Entity(id="drought", canonical_label="drought", first_offset=6)
+    with pytest.raises(EntityNotInTextError):
+        OrientationQuestion.from_pair(text, absent, flood)
+
+
+def test_question_accepts_form_wrapped_across_lines_at_its_offset(monkeypatch):
+    searched = counting_full_searches(monkeypatch)
+    text = "Damage to the beta\n   cell population lowers insulin output."
+    beta = Entity(id="beta cell", canonical_label="beta cell",
+                  first_offset=text.index("beta"))
+    insulin = Entity(id="insulin", canonical_label="insulin",
+                     first_offset=text.index("insulin"))
+    OrientationQuestion.from_pair(text, beta, insulin)
+    assert searched == []
+
+
+def test_enumerate_pairs_over_located_entities_searches_nothing(monkeypatch):
+    searched = counting_full_searches(monkeypatch)
+    names = [f"factor{i:02d}" for i in range(8)]
+    text = "The study followed " + ", ".join(names) + " across the cohort."
+    located = [Entity(id=n, canonical_label=n, first_offset=text.index(n)) for n in names]
+    assert len(enumerate_pairs(located, text)) == 28
+    assert searched == []
+    # the counter sees the fallback: with every offset stale, each pair searches twice
+    stale = [Entity(id=n, canonical_label=n, first_offset=1) for n in names]
+    enumerate_pairs(stale, text)
+    assert len(searched) == 2 * 28
 
 
 def test_rendered_prompt_create_matches_manual_fingerprint():
