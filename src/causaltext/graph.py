@@ -329,7 +329,9 @@ def flag_transitive_candidates(graph: CausalGraph) -> tuple[Arc, ...]:
 
 
 def enforce_acyclicity(
-    graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP
+    graph: CausalGraph,
+    cycle_cap: int = DEFAULT_CYCLE_CAP,
+    report: CycleReport | None = None,
 ) -> tuple[CausalGraph, tuple[Arc, ...]]:
     """Greedily delete arcs until no directed cycle remains.
 
@@ -343,10 +345,14 @@ def enforce_acyclicity(
     Cycles are enumerated once: removing an arc deletes exactly the cycles
     through it and creates none, so after each removal those cycles are
     dropped and the coverage counts recomputed. The first enumeration is the
-    largest, so the ``cycle_cap`` check there is the only one needed.
+    largest, so the ``cycle_cap`` check there is the only one needed. A
+    caller that already holds ``detect_cycles(graph, cycle_cap)`` passes it
+    as ``report`` (with the flags it set left as they are), and the cycles
+    are not listed a second time.
     """
     work = CausalGraph(graph.kind, graph.entities, graph.arcs)
-    report = detect_cycles(work, cycle_cap=cycle_cap)
+    if report is None:
+        report = detect_cycles(work, cycle_cap=cycle_cap)
     if report.is_acyclic:
         return work, ()
     cycles = [set(_cycle_arcs(cycle)) for cycle in report.cycles]

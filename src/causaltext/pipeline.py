@@ -339,7 +339,7 @@ def run_pipeline(
         transitive = flag_transitive_candidates(graph)
         removed: tuple[Arc, ...] = ()
         if config.enforce_acyclic:
-            graph, removed = enforce_acyclicity(graph)
+            graph, removed = enforce_acyclicity(graph, report=cycle_report)
     except CausalTextError as exc:
         raise fail(exc) from exc
 
@@ -447,25 +447,28 @@ def orient_cpdag(
 
     Already-directed arcs pass through untouched (provenance Imported) and
     cost zero queries. Every endpoint of an undirected edge is located in the
-    text before the first query. Each undirected edge is then asked once, up
-    to the gateway's parallelism at a time; NoRelation or a still-unparsable
-    reply drops the edge with a warning, since the discovery algorithm
-    asserted adjacency but the text did not confirm a direction.
+    text once, before the first query. Each undirected edge is then asked
+    once, up to the gateway's parallelism at a time; NoRelation or a
+    still-unparsable reply drops the edge with a warning, since the discovery
+    algorithm asserted adjacency but the text did not confirm a direction.
     """
     by_id = {entity.id: entity for entity in pdag.entities}
+    located: dict[str, Entity] = {}
 
-    def located(entity_id: str) -> Entity:
-        entity = by_id[entity_id]
-        offset = entity_offset(source_text, entity)
-        if offset is None:
-            raise EntityNotInTextError(
-                f"no surface form of {entity.canonical_label!r} occurs in the text"
-            )
-        return replace(entity, first_offset=offset)
+    def locate(entity_id: str) -> Entity:
+        if entity_id not in located:
+            entity = by_id[entity_id]
+            offset = entity_offset(source_text, entity)
+            if offset is None:
+                raise EntityNotInTextError(
+                    f"no surface form of {entity.canonical_label!r} occurs in the text"
+                )
+            located[entity_id] = replace(entity, first_offset=offset)
+        return located[entity_id]
 
     edges = sorted(pdag.undirected_edges)
     questions = [
-        OrientationQuestion.from_pair(source_text, located(a_id), located(b_id))
+        OrientationQuestion.from_pair(source_text, locate(a_id), locate(b_id))
         for a_id, b_id in edges
     ]
     answers = fan_out(

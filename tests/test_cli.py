@@ -300,6 +300,49 @@ def test_eval_pairs_non_strict_miss_counts_unparsable(tmp_path, runner):
     assert "unparsable: 1" in result.output
 
 
+def test_eval_pairs_scores_span_that_changes_length_when_lowercased(tmp_path, runner):
+    from causaltext.evaluation import parse_semeval
+    from causaltext.graph import normalize_label
+    from causaltext.prompts import (
+        OrientationQuestion,
+        find_first_offset,
+        render_orientation_prompt,
+    )
+
+    semeval_path = tmp_path / "bench.txt"
+    semeval_path.write_text(
+        '1\t"The <e1>İzmir</e1> earthquake raised a <e2>tsunami</e2>."\nCause-Effect(e1,e2)\n'
+        '\n2\t"The <e1>infection</e1> came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n',
+        encoding="utf-8",
+    )
+    records = parse_semeval(semeval_path.read_text(encoding="utf-8"))
+    assert find_first_offset(records[0].sentence, normalize_label(records[0].e1_span)) is None
+    entries = {}
+    for record, answer in zip(records, "AB"):
+        spans = ((record.e1_span, record.e1_start), (record.e2_span, record.e2_start))
+        e1, e2 = (
+            Entity(id=f"e{index}", canonical_label=normalize_label(span),
+                   surface_forms=frozenset({span}), first_offset=start)
+            for index, (span, start) in enumerate(spans, start=1)
+        )
+        question = OrientationQuestion.from_pair(record.sentence, e1, e2)
+        entries[render_orientation_prompt(question).fingerprint] = ReplayEntry(
+            f"<Answer>{answer}</Answer>"
+        )
+    fixture_path = tmp_path / "fixture.json"
+    ReplayFixture(entries=entries, strict=True).save(fixture_path)
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["eval-pairs", "--replay", str(fixture_path), "--out", str(out), str(semeval_path)],
+        env=_env(tmp_path),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0, result.output
+    assert "grid: [[1, 0], [0, 1]]" in result.output
+    assert "unparsable: 0" in result.output
+
+
 # --- eval-graph ---------------------------------------------------------------------
 
 

@@ -487,6 +487,25 @@ def test_run_pipeline_enforce_acyclic(gateway_factory):
     assert not run.cycle_report.is_acyclic
 
 
+def test_run_pipeline_enforce_acyclic_lists_cycles_once(gateway_factory, monkeypatch):
+    import networkx
+
+    listings = []
+    simple_cycles = networkx.simple_cycles
+
+    def counted(digraph):
+        listings.append(digraph.number_of_edges())
+        return simple_cycles(digraph)
+
+    monkeypatch.setattr(networkx, "simple_cycles", counted)
+    source_text, fixture = pipeline_document(8)
+    gateway, _ = gateway_factory(fixture)
+    run = run_pipeline(source_text, "", PipelineConfig(enforce_acyclic=True), gateway)
+    assert len(run.cycle_report.cycles) == 61
+    assert len(run.removed_arcs) == 4
+    assert listings == [19]
+
+
 # --- orient_cpdag -------------------------------------------------------------------
 
 
@@ -642,3 +661,29 @@ def test_parse_pdag_round_trip_and_validation():
     payload["undirected"] = [{"a": "a", "b": "b"}]
     with pytest.raises(GraphFileError):
         parse_pdag(json.dumps(payload))
+
+
+def test_orient_cpdag_locates_each_endpoint_once(gateway_factory, monkeypatch):
+    from causaltext import prompts
+
+    searched = []
+    find_first_offset = prompts.find_first_offset
+
+    def counted(source_text, surface_form):
+        searched.append(surface_form)
+        return find_first_offset(source_text, surface_form)
+
+    monkeypatch.setattr(prompts, "find_first_offset", counted)
+    source_text, fixture = pipeline_document(6)
+    names = [f"factor{i:02d}" for i in range(6)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    pdag = PartiallyDirectedGraph(
+        entities=tuple(Entity(id=name, canonical_label=name) for name in names),
+        directed_arcs=(),
+        undirected_edges=tuple(pairs),
+    )
+    gateway, counter = gateway_factory(fixture, counting=True)
+    graph = orient_cpdag(pdag, source_text, gateway)
+    assert counter.calls == 15
+    assert {arc.pair for arc in graph.arcs} == expected_pipeline_arcs(6)
+    assert sorted(searched) == names

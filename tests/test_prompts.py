@@ -3,10 +3,10 @@ from __future__ import annotations
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causaltext import prompts
+from causaltext import evaluation, prompts
 from causaltext.errors import EmptyTextError, EntityNotInTextError, NoEntitiesFoundError
 from causaltext.graph import Entity
 from causaltext.pipeline import enumerate_pairs
@@ -23,6 +23,7 @@ from causaltext.prompts import (
     render_reask_prompt,
 )
 from conftest import DATA_DIR
+from synth import benchmark_with_scripted_replies
 
 COBALT_SENTENCE = (
     "Cobalt metal fume and dust cause upper respiratory tract irritation, "
@@ -310,6 +311,74 @@ def test_enumerate_pairs_over_located_entities_searches_nothing(monkeypatch):
     stale = [Entity(id=n, canonical_label=n, first_offset=1) for n in names]
     enumerate_pairs(stale, text)
     assert len(searched) == 2 * 28
+
+
+# letters whose case mapping changes length or crosses scripts, regex
+# metacharacters and several kinds of whitespace
+_OFFSET_ALPHABET = "aAbBzZiIİıßẞſsSKkK\u0307éÉΣσς.*+?()[]^$|\\ \t\n\u00a0\u2003"
+
+
+@st.composite
+def text_form_offset(draw) -> tuple[str, str, int]:
+    """A text, a surface form and an offset; often the form's literal sits there."""
+    tokens = draw(st.lists(st.text(_OFFSET_ALPHABET, min_size=1, max_size=4),
+                           min_size=1, max_size=3))
+    gaps = draw(st.lists(st.sampled_from([" ", "  ", "\t", "\n ", "\u00a0"]),
+                         min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+    form = "".join(token + gap for token, gap in zip(tokens, gaps + [""]))
+    form = draw(st.sampled_from([form, " " + form, form + "\n"]))
+    prefix = draw(st.text(_OFFSET_ALPHABET, max_size=6))
+    suffix = draw(st.text(_OFFSET_ALPHABET, max_size=6))
+    middle = draw(st.sampled_from([
+        " ".join(form.split()),
+        "\n".join(form.split()),
+        "".join(form.split()),
+        " ".join(form.split()).upper(),
+        draw(st.text(_OFFSET_ALPHABET, max_size=8)),
+    ]))
+    text = prefix + middle + suffix
+    offset = draw(st.sampled_from([len(prefix), draw(st.integers(0, len(text) + 2))]))
+    return text, form, offset
+
+
+@given(text_form_offset())
+@example(("İab", "a", 2))  # lowercasing the text would shift "b" to offset 3
+@example(("x Beta\n cell", "beta  cell", 2))
+@settings(max_examples=500, deadline=None)
+def test_literal_offset_hit_implies_anchored_pattern_hit(case):
+    text, form, offset = case
+    literal = " ".join(form.split())
+    pattern = prompts._form_pattern(form)
+    anchored = bool(pattern and pattern.match(text, offset))
+    if literal and text.startswith(literal, offset):
+        assert anchored
+    # so the literal step leaves the accepted set as the anchored rule has it;
+    # the label "x" is outside the alphabet and never matches
+    entity = Entity(id="x", canonical_label="x", surface_forms=frozenset({form}),
+                    first_offset=offset)
+    assert prompts._occurs_at_first_offset(text, entity) == anchored
+
+
+def test_eval_benchmark_questions_compile_no_pattern(monkeypatch):
+    semeval_text, _ = benchmark_with_scripted_replies()
+    records = evaluation.parse_semeval(semeval_text)
+    built: list[str] = []
+    form_pattern = prompts._form_pattern
+
+    def counted(surface_form: str):
+        built.append(surface_form)
+        return form_pattern(surface_form)
+
+    monkeypatch.setattr(prompts, "_form_pattern", counted)
+    questions = [evaluation._record_question(record) for record in records]
+    assert len(questions) == 1005
+    assert built == []
+    # the counter sees the anchored fallback: a capitalised form off its literal
+    text = "Heavy Rain preceded the flood."
+    rain = Entity(id="rain", canonical_label="rain", first_offset=6)
+    flood = Entity(id="flood", canonical_label="flood", first_offset=text.index("flood"))
+    OrientationQuestion.from_pair(text, rain, flood)
+    assert built == ["rain"]
 
 
 def test_rendered_prompt_create_matches_manual_fingerprint():
