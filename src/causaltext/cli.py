@@ -98,6 +98,7 @@ def _setting(name, flag_value, file_config, default):
 class Settings:
     provider: ProviderConfig
     pipeline: PipelineConfig
+    domain_hint: str
     replay_path: str | None
     record_path: str | None
     out_dir: Path
@@ -149,9 +150,6 @@ def _resolve_settings(
                 "enforce_acyclic", enforce_acyclic or None, file_config,
                 PipelineConfig.enforce_acyclic,
             ),
-            domain_hint=_setting(
-                "domain_hint", domain_hint, file_config, PipelineConfig.domain_hint
-            ),
         )
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
@@ -159,6 +157,7 @@ def _resolve_settings(
     return Settings(
         provider=provider,
         pipeline=pipeline,
+        domain_hint=_setting("domain_hint", domain_hint, file_config, ""),
         replay_path=replay,
         record_path=record,
         out_dir=out_dir,
@@ -238,7 +237,7 @@ def extract(inputs, **options) -> None:
                 try:
                     text = Path(path).read_text(encoding="utf-8")
                     run = run_pipeline(
-                        text, settings.pipeline.domain_hint, settings.pipeline, gateway
+                        text, settings.domain_hint, settings.pipeline, gateway
                     )
                 except CausalTextError as exc:
                     failures += 1

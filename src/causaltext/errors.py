@@ -77,7 +77,7 @@ class DuplicateFingerprintError(GatewayError):
 
 
 class RunLockHeldError(GatewayError):
-    """A mutating cache command was refused while a run holds the lock."""
+    """A run or ``cache clear`` was refused while another run holds the lock."""
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -90,9 +90,11 @@ class TooFewEntitiesError(CausalTextError):
 class PipelineStageError(CausalTextError):
     """A pipeline stage failed; reports how far the run got.
 
+    ``run_pipeline`` raises it for a package error from any stage.
     ``completed_stage`` names the last stage that finished (``None`` when the
-    first stage failed) and ``partial`` carries whatever intermediate results
-    exist, keyed by stage name.
+    first stage failed). ``partial`` carries the results gathered so far
+    under ``entities``, ``questions``, ``verdicts`` and ``graph``; after a
+    failing orientation query ``verdicts`` holds those merged before it.
     """
 
     def __init__(self, message: str, completed_stage: str | None, partial: dict):

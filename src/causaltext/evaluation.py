@@ -376,33 +376,3 @@ def evaluate_graph_run(run: PipelineRun, truth: CausalGraph) -> GraphComparison:
     if truth.kind is not GraphKind.GROUND_TRUTH:
         raise ValueError("the reference graph must have kind GROUND_TRUTH")
     return compare_with_transitive_share(run.graph, truth)
-
-
-@dataclass(frozen=True)
-class PooledComparison:
-    """Micro-averaged counts over a batch of graph comparisons."""
-
-    tp: int
-    fp: int
-    fn: int
-    precision: Fraction
-    recall: Fraction
-    f1: Fraction
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": float(self.precision),
-            "recall": float(self.recall),
-            "f1": float(self.f1),
-        }
-
-
-def aggregate_comparisons(comparisons: Sequence[GraphComparison]) -> PooledComparison:
-    """Pool TP/FP/FN counts across documents and recompute the metrics."""
-    tp = sum(len(c.true_positive_arcs) for c in comparisons)
-    fp = sum(len(c.false_positive_arcs) for c in comparisons)
-    fn = sum(len(c.false_negative_arcs) for c in comparisons)
-    return PooledComparison(tp, fp, fn, *prf(tp, fp, fn))

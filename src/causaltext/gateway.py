@@ -10,6 +10,7 @@ model name and temperature, so switching models never serves stale verdicts.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -438,24 +439,21 @@ class Gateway:
 
 @contextmanager
 def run_lock(cache_dir: Path | str) -> Iterator[None]:
-    """Hold the cache-directory run lock for the duration of a batch run."""
+    """Hold the cache-directory run lock for the duration of a batch run.
+
+    The lock is an ``flock`` on ``.runlock``, so the OS releases it when the
+    holder exits, however it exits. The file is never unlinked: a run that
+    reopened a fresh file could lock a different inode than its peers.
+    """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     lock_path = cache_dir / RUN_LOCK_NAME
-    try:
-        handle = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise RunLockHeldError(f"another run holds {lock_path}") from None
-    try:
-        os.write(handle, str(os.getpid()).encode("ascii"))
-        os.close(handle)
+    with open(lock_path, "a") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RunLockHeldError(f"{lock_path} is in use by another run") from None
         yield
-    finally:
-        lock_path.unlink(missing_ok=True)
-
-
-def is_run_locked(cache_dir: Path | str) -> bool:
-    return (Path(cache_dir) / RUN_LOCK_NAME).exists()
 
 
 def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
@@ -468,12 +466,12 @@ def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
 
 
 def clear_cache(cache_dir: Path | str) -> int:
-    """Remove every cache entry; refused while a run holds the lock."""
+    """Remove every cache entry under the run lock; refused while a run holds it."""
     cache_dir = Path(cache_dir)
-    if is_run_locked(cache_dir):
-        raise RunLockHeldError(f"cache {cache_dir} is in use by a running batch")
+    if not cache_dir.is_dir():
+        return 0
     removed = 0
-    if cache_dir.is_dir():
+    with run_lock(cache_dir):
         for path in cache_dir.glob("*.json"):
             path.unlink()
             removed += 1

@@ -174,17 +174,8 @@ class CausalGraph:
         except KeyError:
             raise UnknownEntityError(f"unknown entity {entity_id!r}") from None
 
-    def has_entity(self, entity_id: str) -> bool:
-        return entity_id in self._entities
-
     def arc(self, cause: str, effect: str) -> Arc | None:
         return self._arcs.get((cause, effect))
-
-    def __iter__(self) -> Iterator[Entity]:
-        return iter(self.entities)
-
-    def __len__(self) -> int:
-        return len(self._entities)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: entities, arc pairs and arc flags.
@@ -213,18 +204,6 @@ class CausalGraph:
             f"CausalGraph(kind={self.kind.value}, entities={len(self._entities)}, "
             f"arcs={len(self._arcs)})"
         )
-
-
-def add_arc(graph: CausalGraph, arc: Arc) -> CausalGraph:
-    """Return a graph that also contains ``arc``.
-
-    Adding an ordered pair that is already present is idempotent and the
-    first insertion wins. Adding the reverse of an existing arc to an
-    extracted graph raises :class:`OppositeArcConflictError`.
-    """
-    if graph.arc(arc.cause, arc.effect) is not None:
-        return graph
-    return CausalGraph(graph.kind, graph.entities, [*graph.arcs, arc])
 
 
 @dataclass(frozen=True)

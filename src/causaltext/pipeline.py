@@ -83,7 +83,6 @@ class PipelineConfig:
 
     entity_cap: int = DEFAULT_ENTITY_CAP
     enforce_acyclic: bool = False
-    domain_hint: str = ""
 
     def __post_init__(self) -> None:
         if self.entity_cap < 2:
@@ -235,9 +234,6 @@ class RunStats:
     stdev_latency: float
     projected_serial_seconds: float
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class PipelineRun:
@@ -281,67 +277,55 @@ def run_pipeline(
 
     Stages: entity extraction, pair enumeration, orientation queries (with
     bounded parallelism), graph assembly, cycle and transitive analyses, and
-    optional acyclicity enforcement. A failing stage raises
+    optional acyclicity enforcement. ``domain_hint`` steers only the entity
+    prompt. Any :class:`CausalTextError` from a stage is re-raised as
     :class:`PipelineStageError` naming the last completed stage and carrying
-    all partial results gathered so far.
+    every partial result gathered so far, including the verdicts merged
+    before a failing orientation query.
     """
     partial: dict = {}
     completed: str | None = None
-
-    def fail(exc: CausalTextError) -> PipelineStageError:
-        return PipelineStageError(
-            f"pipeline aborted after stage {completed!r}: {exc}", completed, partial
-        )
-
     try:
         entities = extract_entities(
             source_text, domain_hint, gateway, entity_cap=config.entity_cap
         )
-    except CausalTextError as exc:
-        raise fail(exc) from exc
-    completed = "extract_entities"
-    partial["entities"] = entities
+        completed = "extract_entities"
+        partial["entities"] = entities
 
-    try:
         questions = enumerate_pairs(entities, source_text)
-    except CausalTextError as exc:
-        raise fail(exc) from exc
-    completed = "enumerate_pairs"
-    partial["questions"] = questions
+        completed = "enumerate_pairs"
+        partial["questions"] = questions
 
-    verdicts: dict[PairKey, ParsedVerdict] = {}
-    exchange_lists: list[tuple[ChatExchange, ...]] = []
-    answers = fan_out(
-        lambda question: _query_with_exchanges(question, gateway),
-        questions,
-        gateway.config.parallelism,
-    )
-    try:
+        verdicts: dict[PairKey, ParsedVerdict] = {}
+        partial["verdicts"] = verdicts
+        exchange_lists: list[tuple[ChatExchange, ...]] = []
+        answers = fan_out(
+            lambda question: _query_with_exchanges(question, gateway),
+            questions,
+            gateway.config.parallelism,
+        )
         for (parsed, exchanges), question in zip(answers, questions):
             verdicts[question.pair_key] = parsed
             exchange_lists.append(exchanges)
-    except CausalTextError as exc:
-        partial["verdicts"] = verdicts
-        raise fail(exc) from exc
-    completed = "query_orientation"
-    partial["verdicts"] = verdicts
+        completed = "query_orientation"
 
-    sources = {
-        question.pair_key: exchanges[-1].prompt.fingerprint
-        for question, exchanges in zip(questions, exchange_lists)
-    }
-    graph = build_graph(entities, verdicts, sources)
-    completed = "build_graph"
-    partial["graph"] = graph
+        sources = {
+            question.pair_key: exchanges[-1].prompt.fingerprint
+            for question, exchanges in zip(questions, exchange_lists)
+        }
+        graph = build_graph(entities, verdicts, sources)
+        completed = "build_graph"
+        partial["graph"] = graph
 
-    try:
         cycle_report = detect_cycles(graph)
         transitive = flag_transitive_candidates(graph)
         removed: tuple[Arc, ...] = ()
         if config.enforce_acyclic:
             graph, removed = enforce_acyclicity(graph, report=cycle_report)
     except CausalTextError as exc:
-        raise fail(exc) from exc
+        raise PipelineStageError(
+            f"pipeline aborted after stage {completed!r}: {exc}", completed, partial
+        ) from exc
 
     return PipelineRun(
         source_text=source_text,
@@ -378,7 +362,7 @@ def run_report(run: PipelineRun) -> dict:
         "cycles": run.cycle_report.to_dict(),
         "transitive_arcs": [[arc.cause, arc.effect] for arc in run.transitive_arcs],
         "removed_arcs": [[arc.cause, arc.effect] for arc in run.removed_arcs],
-        "stats": run.stats.to_dict(),
+        "stats": dataclasses.asdict(run.stats),
     }
 
 

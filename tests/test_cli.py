@@ -3,14 +3,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import causaltext
 from causaltext.cli import _resolve_settings, main
 from causaltext.errors import CausalTextError
-from causaltext.gateway import ProviderConfig, ReplayEntry, ReplayFixture
+from causaltext.gateway import ProviderConfig, ReplayEntry, ReplayFixture, run_lock
 from causaltext.graph import (
     Arc,
     CausalGraph,
@@ -457,10 +460,10 @@ def test_cache_stats_and_clear_cycle(tmp_path, runner):
 def test_cache_clear_refused_while_lock_held(tmp_path, runner):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    (cache_dir / ".runlock").write_text("123", encoding="utf-8")
-    result = runner.invoke(
-        main, ["cache", "clear"], env=_env(tmp_path), catch_exceptions=False
-    )
+    with run_lock(cache_dir):
+        result = runner.invoke(
+            main, ["cache", "clear"], env=_env(tmp_path), catch_exceptions=False
+        )
     assert result.exit_code == 1
     assert "in use" in result.output
 
@@ -475,16 +478,83 @@ def test_eval_pairs_refused_while_lock_held(tmp_path, runner):
     cache_dir.mkdir()
     (cache_dir / ".runlock").write_text("123", encoding="utf-8")
     out = tmp_path / "out"
-    result = runner.invoke(
-        main,
-        ["eval-pairs", "--replay", str(fixture_path), "--out", str(out), str(semeval_path)],
-        env=_env(tmp_path),
-        catch_exceptions=False,
-    )
+    with run_lock(cache_dir):
+        result = runner.invoke(
+            main,
+            ["eval-pairs", "--replay", str(fixture_path), "--out", str(out),
+             str(semeval_path)],
+            env=_env(tmp_path),
+            catch_exceptions=False,
+        )
     assert result.exit_code == 1
     assert ".runlock" in result.output
     assert not (out / "pairwise_report.json").exists()
     assert (cache_dir / ".runlock").read_text(encoding="utf-8") == "123"
+
+
+def _lock_test_inputs(tmp_path) -> tuple[list[str], list[str]]:
+    """Arguments of a replayed ``extract`` and a replayed ``eval-pairs``."""
+    source_text, fixture = pipeline_document(4)
+    semeval_text, bench_fixture = benchmark_with_scripted_replies()
+    fixture.entries.update(bench_fixture.entries)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    semeval_path = tmp_path / "bench.txt"
+    semeval_path.write_text(semeval_text, encoding="utf-8")
+    replay = ["--replay", str(fixture_path), "--out", str(tmp_path / "out")]
+    return ["extract", *replay, str(doc)], ["eval-pairs", *replay, str(semeval_path)]
+
+
+def test_lock_file_left_by_a_dead_run_blocks_nothing(tmp_path, runner):
+    extract_args, eval_args = _lock_test_inputs(tmp_path)
+    lock_path = tmp_path / "cache" / ".runlock"
+    lock_path.parent.mkdir()
+    lock_path.write_text("123", encoding="utf-8")
+    for args in (extract_args, eval_args, ["cache", "clear"]):
+        result = runner.invoke(main, args, env=_env(tmp_path), catch_exceptions=False)
+        assert result.exit_code == 0, (args[0], result.output)
+    assert lock_path.read_text(encoding="utf-8") == "123"
+
+
+def test_lock_held_by_another_process_refuses_runs_until_it_dies(tmp_path, runner):
+    extract_args, _ = _lock_test_inputs(tmp_path)
+    holder_code = (
+        "import sys\n"
+        "from causaltext.gateway import run_lock\n"
+        "with run_lock(sys.argv[1]):\n"
+        "    print('held', flush=True)\n"
+        "    sys.stdin.read()\n"
+    )
+    package_root = str(Path(causaltext.__file__).resolve().parents[1])
+    holder = subprocess.Popen(
+        [sys.executable, "-c", holder_code, str(tmp_path / "cache")],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        result = runner.invoke(
+            main, extract_args, env=_env(tmp_path), catch_exceptions=False
+        )
+        assert result.exit_code == 1
+        assert ".runlock" in result.output
+        result = runner.invoke(
+            main, ["cache", "clear"], env=_env(tmp_path), catch_exceptions=False
+        )
+        assert result.exit_code == 1
+        assert "in use" in result.output
+    finally:
+        holder.kill()
+        holder.wait(timeout=10)
+        holder.stdin.close()
+        holder.stdout.close()
+    # The OS released the lock when the holder was killed.
+    result = runner.invoke(main, extract_args, env=_env(tmp_path), catch_exceptions=False)
+    assert result.exit_code == 0, result.output
 
 
 def test_cache_stats_fresh_directory(tmp_path, runner):
@@ -558,3 +628,32 @@ def test_settings_defaults_are_the_config_class_defaults(monkeypatch):
     )
     assert dataclasses.asdict(settings.provider) == dataclasses.asdict(ProviderConfig())
     assert dataclasses.asdict(settings.pipeline) == dataclasses.asdict(PipelineConfig())
+
+
+def test_domain_hint_from_each_source_reaches_the_entity_prompt(tmp_path, runner):
+    # The strict fixture answers only the hinted entity prompt: a lost hint is
+    # a fixture miss and the document fails with exit 2.
+    source_text, fixture = pipeline_document(4, domain_hint="diseases")
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"domain_hint": "diseases"}), encoding="utf-8")
+    sources = {
+        "none": ([], {}),
+        "flag": (["--domain-hint", "diseases"], {}),
+        "env": ([], {"CAUSALTEXT_DOMAIN_HINT": "diseases"}),
+        "file": (["--config", str(config_path)], {}),
+    }
+    codes = {}
+    for name, (flags, env) in sources.items():
+        result = runner.invoke(
+            main,
+            ["extract", "--replay", str(fixture_path), "--out", str(tmp_path / name),
+             *flags, str(doc)],
+            env=_env(tmp_path, CAUSALTEXT_CACHE_DIR=str(tmp_path / f"cache-{name}"), **env),
+            catch_exceptions=False,
+        )
+        codes[name] = result.exit_code
+    assert codes == {"none": 2, "flag": 0, "env": 0, "file": 0}

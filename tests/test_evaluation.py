@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from causaltext.evaluation import (
     ConfusionMatrix,
     Orientation,
     SemEvalRecord,
-    aggregate_comparisons,
     compare_with_transitive_share,
     compute_report,
     evaluate_graph_run,
@@ -27,11 +25,9 @@ from causaltext.graph import (
     CycleReport,
     Entity,
     GraphKind,
-    compare_graphs,
     flag_transitive_candidates,
 )
 from causaltext.pipeline import PipelineRun, RunStats
-from oracles import brute_force_counts
 from synth import _question_fingerprint, benchmark_with_scripted_replies
 
 TABLE_ROWS = [
@@ -360,32 +356,3 @@ def test_transitive_share_counts_only_flagged_false_positives():
     assert comparison.false_positive_arcs == {("a", "c"), ("a", "d")}
     assert comparison.transitive_fp_share == Fraction(1, 2)
 
-
-def test_aggregate_comparisons_matches_pooled_count_oracle():
-    rng = random.Random(31)
-    comparisons = []
-    pooled_tp = pooled_fp = pooled_fn = 0
-    for _ in range(20):
-        ids = "abcdef"
-        entities = [Entity(id=i, canonical_label=i) for i in ids]
-        extracted_pairs = {
-            (c, e) for c in ids for e in ids if c != e and rng.random() < 0.2
-        }
-        truth_pairs = {
-            (c, e) for c in ids for e in ids if c != e and rng.random() < 0.2
-        }
-        extracted = CausalGraph(
-            GraphKind.GROUND_TRUTH, entities, [Arc(c, e) for c, e in extracted_pairs]
-        )
-        truth = CausalGraph(
-            GraphKind.GROUND_TRUTH, entities, [Arc(c, e) for c, e in truth_pairs]
-        )
-        comparisons.append(compare_graphs(extracted, truth))
-        tp, fp, fn = brute_force_counts(extracted_pairs, truth_pairs)
-        pooled_tp += tp
-        pooled_fp += fp
-        pooled_fn += fn
-    pooled = aggregate_comparisons(comparisons)
-    assert (pooled.tp, pooled.fp, pooled.fn) == (pooled_tp, pooled_fp, pooled_fn)
-    assert pooled.precision == Fraction(pooled_tp, pooled_tp + pooled_fp)
-    assert pooled.recall == Fraction(pooled_tp, pooled_tp + pooled_fn)

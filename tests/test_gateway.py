@@ -31,7 +31,6 @@ from causaltext.gateway import (
     _cache_path,
     cache_stats,
     clear_cache,
-    is_run_locked,
     record_fixture,
     run_lock,
 )
@@ -358,19 +357,25 @@ def test_token_bucket_no_wait_under_generous_rate():
 def test_run_lock_guards_cache_clear(tmp_path):
     cache_dir = tmp_path / "cache"
     with run_lock(cache_dir):
-        assert is_run_locked(cache_dir)
-        with pytest.raises(RunLockHeldError):
+        with pytest.raises(RunLockHeldError, match="in use") as refused:
             clear_cache(cache_dir)
+        assert str(cache_dir / ".runlock") in str(refused.value)
         with pytest.raises(RunLockHeldError):
             with run_lock(cache_dir):
                 pass
-    assert not is_run_locked(cache_dir)
+    with run_lock(cache_dir):
+        pass
+    assert clear_cache(cache_dir) == 0
+    # The file outlives the lock: unlinking it would let two runs lock two inodes.
+    assert (cache_dir / ".runlock").exists()
 
 
 def test_cache_stats_and_clear(tmp_path):
     gateway, _ = _cached_gateway(tmp_path, ["one", "two"])
     cache_dir = gateway.config.cache_dir
     assert cache_stats(cache_dir) == (0, 0)
+    assert clear_cache(cache_dir) == 0
+    assert not cache_dir.exists()
     gateway.cached_complete(prompt_for("q1"))
     gateway.cached_complete(prompt_for("q2"))
     count, size = cache_stats(cache_dir)

@@ -22,7 +22,6 @@ from causaltext.graph import (
     GraphFormat,
     GraphKind,
     Provenance,
-    add_arc,
     compare_graphs,
     detect_cycles,
     enforce_acyclicity,
@@ -92,40 +91,6 @@ def test_arc_rejects_self_loops_and_unreferenced_verdicts():
         Arc("a", "a")
     with pytest.raises(ValueError):
         Arc("a", "b", provenance=Provenance.LLM_VERDICT)
-
-
-# --- add_arc --------------------------------------------------------------------
-
-
-def test_add_arc_base_case():
-    graph = make_graph("ab", [])
-    result = add_arc(graph, Arc("a", "b"))
-    assert arc_pairs(result) == {("a", "b")}
-    assert arc_pairs(graph) == set()
-
-
-def test_add_arc_duplicate_is_idempotent_first_insertion_wins():
-    graph = make_graph("ab", [("a", "b")])
-    first = graph.arc("a", "b")
-    result = add_arc(graph, Arc("a", "b", provenance=Provenance.GROUND_TRUTH_ANNOTATION))
-    assert arc_pairs(result) == {("a", "b")}
-    assert result.arc("a", "b").provenance is first.provenance
-
-
-def test_add_arc_opposite_conflict_on_extracted_graphs_only():
-    extracted = make_graph("ab", [("a", "b")], kind=GraphKind.EXTRACTED)
-    with pytest.raises(OppositeArcConflictError):
-        add_arc(extracted, Arc("b", "a"))
-    truth = make_graph("ab", [("a", "b")], kind=GraphKind.GROUND_TRUTH)
-    assert arc_pairs(add_arc(truth, Arc("b", "a"))) == {("a", "b"), ("b", "a")}
-
-
-def test_add_arc_unknown_entity_and_self_loop():
-    graph = make_graph("ab", [])
-    with pytest.raises(UnknownEntityError):
-        add_arc(graph, Arc("a", "z"))
-    with pytest.raises(SelfLoopError):
-        add_arc(graph, Arc("a", "a"))
 
 
 # --- detect_cycles ---------------------------------------------------------------
@@ -445,6 +410,8 @@ def test_extracted_graph_rejects_opposite_pairs_at_construction():
     entities = [Entity(id=i, canonical_label=i) for i in "ab"]
     with pytest.raises(OppositeArcConflictError):
         CausalGraph(GraphKind.EXTRACTED, entities, [Arc("a", "b"), Arc("b", "a")])
+    truth = CausalGraph(GraphKind.GROUND_TRUTH, entities, [Arc("a", "b"), Arc("b", "a")])
+    assert arc_pairs(truth) == {("a", "b"), ("b", "a")}
 
 
 def test_graph_rejects_duplicate_ids_and_labels():
@@ -458,6 +425,11 @@ def test_graph_rejects_duplicate_ids_and_labels():
             GraphKind.EXTRACTED,
             [Entity(id="a", canonical_label="x"), Entity(id="b", canonical_label="x")],
         )
+    entities = [Entity(id=i, canonical_label=i) for i in "ab"]
+    with pytest.raises(UnknownEntityError):
+        CausalGraph(GraphKind.EXTRACTED, entities, [Arc("a", "z")])
+    with pytest.raises(ValueError):
+        CausalGraph(GraphKind.EXTRACTED, entities, [Arc("a", "b"), Arc("a", "b")])
 
 
 def test_graph_flags_do_not_alias_between_values():

@@ -22,10 +22,10 @@ from causaltext.gateway import (
 )
 from causaltext.graph import (
     Arc,
+    CausalGraph,
     Entity,
     GraphFormat,
     Provenance,
-    add_arc,
     serialize_graph,
 )
 from causaltext.pipeline import (
@@ -399,7 +399,9 @@ def test_pipeline_trace_forbids_opposite_arc():
     run = run_pipeline(source_text, "", PipelineConfig(), gateway)
     (arc,) = run.graph.arcs
     with pytest.raises(OppositeArcConflictError):
-        add_arc(run.graph, Arc(arc.effect, arc.cause))
+        CausalGraph(
+            run.graph.kind, run.graph.entities, [*run.graph.arcs, Arc(arc.effect, arc.cause)]
+        )
 
 
 def test_run_pipeline_reports_completed_stage_on_failure(gateway_factory):
