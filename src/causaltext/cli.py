@@ -11,17 +11,14 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import click
 
-from .errors import (
-    CausalTextError,
-    GraphFileError,
-    ParseError,
-    RunLockHeldError,
-)
+from .errors import CausalTextError, RunLockHeldError
 from .evaluation import (
     compare_with_transitive_share,
     parse_semeval,
@@ -32,7 +29,6 @@ from .gateway import (
     Gateway,
     LiveTransport,
     ProviderConfig,
-    RecordingTransport,
     ReplayFixture,
     ReplayTransport,
     cache_stats,
@@ -105,15 +101,15 @@ class Settings:
 
 
 def _resolve_settings(
-    config_path,
-    replay,
-    record,
-    model,
-    parallelism,
-    entity_cap,
-    enforce_acyclic,
-    out,
-    domain_hint,
+    config_path=None,
+    replay=None,
+    record=None,
+    model=None,
+    parallelism=None,
+    entity_cap=None,
+    enforce_acyclic=False,
+    out=None,
+    domain_hint=None,
 ) -> Settings:
     if replay and record:
         raise ConfigurationError("--replay and --record are mutually exclusive")
@@ -164,39 +160,62 @@ def _resolve_settings(
     )
 
 
-def _build_gateway(settings: Settings) -> tuple[Gateway, RecordingTransport | None]:
+@contextmanager
+def _run_session(settings: Settings) -> Iterator[Gateway]:
+    """The gateway of one ``extract`` or ``eval-pairs`` run, under the run lock.
+
+    The replay fixture is loaded before the lock is taken. The record fixture
+    is saved inside the lock, however the run ends, so a refused run never
+    touches the record file and a failed one keeps what it paid for.
+    """
     if settings.replay_path:
-        fixture = ReplayFixture.load(settings.replay_path)
-        return Gateway(settings.provider, ReplayTransport(fixture)), None
-    transport = LiveTransport(settings.provider)
-    if settings.record_path:
-        recorder = RecordingTransport(transport)
-        return Gateway(settings.provider, recorder), recorder
-    return Gateway(settings.provider, transport), None
+        transport = ReplayTransport(ReplayFixture.load(settings.replay_path))
+    else:
+        transport = LiveTransport(settings.provider)
+    record = ReplayFixture() if settings.record_path else None
+    with run_lock(settings.provider.cache_dir):
+        try:
+            yield Gateway(settings.provider, transport, record)
+        finally:
+            if record is not None:
+                record.save(settings.record_path)
 
 
-def common_options(fn):
-    options = [
-        click.option("--config", "config_path", type=click.Path(), default=None,
-                     help="JSON config file."),
-        click.option("--replay", type=click.Path(), default=None,
-                     help="Answer prompts from this fixture instead of the provider."),
-        click.option("--record", type=click.Path(), default=None,
-                     help="Record live exchanges into this fixture file."),
-        click.option("--model", default=None, help="Provider model name."),
-        click.option("--parallelism", type=int, default=None,
-                     help="Concurrent orientation queries."),
-        click.option("--entity-cap", type=int, default=None,
-                     help="Maximum entities kept per document."),
-        click.option("--enforce-acyclic", is_flag=True, default=False,
-                     help="Remove arcs until the extracted graph is acyclic."),
-        click.option("--out", default=None, help="Output directory."),
-        click.option("--domain-hint", default=None,
-                     help="Entity categories to emphasise during extraction."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+# Each command declares only the options it reads, by their parameter names.
+_OPTIONS = {
+    "config_path": click.option("--config", "config_path", type=click.Path(),
+                                default=None, help="JSON config file."),
+    "replay": click.option("--replay", type=click.Path(), default=None,
+                           help="Answer prompts from this fixture instead of the provider."),
+    "record": click.option("--record", type=click.Path(), default=None,
+                           help="Record every exchange the run uses into this fixture file."),
+    "model": click.option("--model", default=None, help="Provider model name."),
+    "parallelism": click.option("--parallelism", type=int, default=None,
+                                help="Concurrent orientation queries."),
+    "entity_cap": click.option("--entity-cap", type=int, default=None,
+                               help="Maximum entities kept per document."),
+    "enforce_acyclic": click.option("--enforce-acyclic", is_flag=True, default=False,
+                                    help="Remove arcs until the extracted graph is acyclic."),
+    "out": click.option("--out", default=None, help="Output directory."),
+    "domain_hint": click.option("--domain-hint", default=None,
+                                help="Entity categories to emphasise during extraction."),
+}
+
+
+def _options(*names: str):
+    def decorate(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+
+    return decorate
+
+
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path: Path, text: str) -> None:
@@ -216,28 +235,22 @@ def main() -> None:
 
 
 @main.command()
-@common_options
+@_options(*_OPTIONS)
 @click.argument("inputs", nargs=-1, required=True, type=click.Path())
 def extract(inputs, **options) -> None:
     """Run the extraction pipeline over one document per input file."""
+    failures = 0
     try:
         settings = _resolve_settings(**options)
         missing = [path for path in inputs if not Path(path).is_file()]
         if missing:
             raise ConfigurationError(f"input not readable: {missing[0]}")
-        gateway, recorder = _build_gateway(settings)
-    except CausalTextError as exc:
-        _fail(str(exc))
-
-    failures = 0
-    try:
-        with run_lock(settings.provider.cache_dir):
+        with _run_session(settings) as gateway:
             for path in inputs:
                 stem = Path(path).stem
                 try:
-                    text = Path(path).read_text(encoding="utf-8")
                     run = run_pipeline(
-                        text, settings.domain_hint, settings.pipeline, gateway
+                        _read_input(path), settings.domain_hint, settings.pipeline, gateway
                     )
                 except CausalTextError as exc:
                     failures += 1
@@ -253,36 +266,25 @@ def extract(inputs, **options) -> None:
                        json.dumps(run_report(run), indent=2, ensure_ascii=False) + "\n")
                 click.echo(f"{path}: {len(run.entities)} entities, "
                            f"{len(run.graph.arcs)} arcs")
-    except RunLockHeldError as exc:
+    except CausalTextError as exc:  # each document's own errors are caught above
         _fail(str(exc))
-    finally:
-        if recorder is not None and settings.record_path:
-            recorder.fixture().save(settings.record_path)
 
     if failures:
         sys.exit(2)
 
 
 @main.command("eval-pairs")
-@common_options
+@_options("config_path", "replay", "record", "model", "parallelism", "out")
 @click.argument("semeval_path", type=click.Path())
 def eval_pairs(semeval_path, **options) -> None:
     """Evaluate pairwise orientation over a tagged-sentence benchmark file."""
     try:
         settings = _resolve_settings(**options)
-        gateway, recorder = _build_gateway(settings)
-        records = parse_semeval(Path(semeval_path).read_text(encoding="utf-8"))
-    except (CausalTextError, OSError) as exc:
-        _fail(str(exc))
-
-    try:
-        with run_lock(settings.provider.cache_dir):
+        records = parse_semeval(_read_input(semeval_path))
+        with _run_session(settings) as gateway:
             report = run_pairwise_eval(records, gateway)
-    except CausalTextError as exc:  # RunLockHeldError included
+    except CausalTextError as exc:
         _fail(str(exc))
-    finally:
-        if recorder is not None and settings.record_path:
-            recorder.fixture().save(settings.record_path)
 
     _write(settings.out_dir / "pairwise_report.json",
            json.dumps(report.to_dict(), indent=2) + "\n")
@@ -293,20 +295,16 @@ def eval_pairs(semeval_path, **options) -> None:
 
 
 @main.command("eval-graph")
-@common_options
+@_options("config_path", "out")
 @click.argument("run_path", type=click.Path())
 @click.argument("truth_path", type=click.Path())
 def eval_graph(run_path, truth_path, **options) -> None:
     """Compare an extracted graph file against a ground-truth graph file."""
     try:
         settings = _resolve_settings(**options)
-        extracted = parse_graph(
-            Path(run_path).read_text(encoding="utf-8"), GraphKind.EXTRACTED
-        )
-        truth = parse_graph(
-            Path(truth_path).read_text(encoding="utf-8"), GraphKind.GROUND_TRUTH
-        )
-    except (GraphFileError, ParseError, CausalTextError, OSError) as exc:
+        extracted = parse_graph(_read_input(run_path), GraphKind.EXTRACTED)
+        truth = parse_graph(_read_input(truth_path), GraphKind.GROUND_TRUTH)
+    except CausalTextError as exc:
         _fail(str(exc))
 
     comparison = compare_with_transitive_share(extracted, truth)
@@ -323,7 +321,7 @@ def eval_graph(run_path, truth_path, **options) -> None:
 
 
 @main.command()
-@common_options
+@_options("config_path")
 @click.argument("action", type=click.Choice(["stats", "clear"]))
 def cache(action, **options) -> None:
     """Inspect or clear the response cache."""

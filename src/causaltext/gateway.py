@@ -1,11 +1,12 @@
 """Provider-agnostic chat-completion client with cache, retry and replay.
 
-Three transports sit behind one :class:`Gateway` front end: a live HTTP
-transport speaking the OpenAI-compatible chat-completions shape, a replay
+Two transports sit behind one :class:`Gateway` front end: a live HTTP
+transport speaking the OpenAI-compatible chat-completions shape, and a replay
 transport that answers from a recorded fixture (fully offline and
-deterministic), and a recording wrapper that captures live exchanges so they
-can be replayed later. The persistent cache is keyed by prompt fingerprint,
-model name and temperature, so switching models never serves stale verdicts.
+deterministic). The gateway can record every exchange it serves, cache hits
+included, into a fixture so the run can be replayed later. The persistent
+cache is keyed by prompt fingerprint, model name and temperature, so
+switching models never serves stale verdicts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterator, Protocol
 
 import requests
 
@@ -113,6 +114,22 @@ class ReplayFixture:
     entries: dict[str, ReplayEntry] = field(default_factory=dict)
     strict: bool = True
 
+    def add(self, exchange: ChatExchange) -> None:
+        """Keep the exchange's reply and latency under its prompt fingerprint.
+
+        Identical duplicates collapse; a fingerprint recorded with two
+        different replies is a contradiction and raises
+        :class:`DuplicateFingerprintError`.
+        """
+        fingerprint = exchange.prompt.fingerprint
+        existing = self.entries.get(fingerprint)
+        if existing is None:
+            self.entries[fingerprint] = ReplayEntry(exchange.reply_text, exchange.latency)
+        elif existing.reply_text != exchange.reply_text:
+            raise DuplicateFingerprintError(
+                f"fingerprint {fingerprint} recorded with two different replies"
+            )
+
     def save(self, path: Path | str) -> None:
         payload = {
             "strict": self.strict,
@@ -139,26 +156,6 @@ class ReplayFixture:
             return cls(entries=entries, strict=bool(payload.get("strict", True)))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise GatewayError(f"cannot load replay fixture {path}: {exc}") from None
-
-
-def record_fixture(exchanges: Iterable[ChatExchange], strict: bool = True) -> ReplayFixture:
-    """Build a fixture that replays exactly the given exchanges.
-
-    Identical duplicates collapse; a fingerprint recorded with two different
-    replies is a contradiction and raises :class:`DuplicateFingerprintError`.
-    """
-    entries: dict[str, ReplayEntry] = {}
-    for exchange in exchanges:
-        fingerprint = exchange.prompt.fingerprint
-        existing = entries.get(fingerprint)
-        if existing is not None:
-            if existing.reply_text != exchange.reply_text:
-                raise DuplicateFingerprintError(
-                    f"fingerprint {fingerprint} recorded with two different replies"
-                )
-            continue
-        entries[fingerprint] = ReplayEntry(exchange.reply_text, exchange.latency)
-    return ReplayFixture(entries=entries, strict=strict)
 
 
 class _TransientProviderError(Exception):
@@ -283,36 +280,6 @@ class ReplayTransport:
         return entry.reply_text, entry.latency
 
 
-class RecordingTransport:
-    """Wraps another transport and keeps every exchange for fixture export."""
-
-    def __init__(self, inner: Transport):
-        self._inner = inner
-        self._lock = threading.Lock()
-        self.recorded: list[ChatExchange] = []
-
-    @property
-    def source(self) -> ExchangeSource:
-        return self._inner.source
-
-    def send(self, prompt: RenderedPrompt) -> tuple[str, float]:
-        reply, latency = self._inner.send(prompt)
-        exchange = ChatExchange(
-            prompt=prompt,
-            reply_text=reply,
-            model_name="",
-            latency=latency,
-            source=self._inner.source,
-        )
-        with self._lock:
-            self.recorded.append(exchange)
-        return reply, latency
-
-    def fixture(self, strict: bool = True) -> ReplayFixture:
-        with self._lock:
-            return record_fixture(self.recorded, strict=strict)
-
-
 def _cache_key(config: ProviderConfig, prompt: RenderedPrompt) -> str:
     return f"{prompt.fingerprint}|{config.model_name}|{config.temperature!r}"
 
@@ -327,11 +294,21 @@ def _checksum(reply_text: str) -> str:
 
 
 class Gateway:
-    """Front end combining a transport with retries and the persistent cache."""
+    """Front end combining a transport with retries and the persistent cache.
 
-    def __init__(self, config: ProviderConfig, transport: Transport):
+    With a ``record`` fixture, every exchange :meth:`cached_complete` returns,
+    from the cache or the transport, is added to it for a later replay.
+    """
+
+    def __init__(
+        self,
+        config: ProviderConfig,
+        transport: Transport,
+        record: ReplayFixture | None = None,
+    ):
         self._config = config
         self._transport = transport
+        self._record = record
         self._key_locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
         self._locks_guard = threading.Lock()
 
@@ -379,18 +356,19 @@ class Gateway:
         """
         key = _cache_key(self._config, prompt)
         path = _cache_path(self._config.cache_dir, key)
-        cached = self._read_cache_entry(path, key, prompt)
-        if cached is not None:
-            return cached
-        with self._locks_guard:
-            lock = self._key_locks[key]
-        with lock:
-            cached = self._read_cache_entry(path, key, prompt)
-            if cached is not None:
-                return cached
-            exchange = self.complete(prompt)
-            self._write_cache_entry(path, key, exchange)
-            return exchange
+        exchange = self._read_cache_entry(path, key, prompt)
+        if exchange is None:
+            with self._locks_guard:
+                lock = self._key_locks[key]
+            with lock:
+                exchange = self._read_cache_entry(path, key, prompt)
+                if exchange is None:
+                    exchange = self.complete(prompt)
+                    self._write_cache_entry(path, key, exchange)
+        if self._record is not None:
+            with self._locks_guard:
+                self._record.add(exchange)
+        return exchange
 
     def _read_cache_entry(
         self, path: Path, key: str, prompt: RenderedPrompt

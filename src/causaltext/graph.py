@@ -485,19 +485,29 @@ def serialize_graph(graph: CausalGraph, format: GraphFormat = GraphFormat.STRUCT
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def _parse_entity_record(record: object) -> Entity:
+_REQUIRED = object()
+
+
+def _field(record: object, key: str, kind: type, default: object = _REQUIRED):
+    """``record[key]``, checked to be a ``kind``; ``default`` when absent, if given."""
     if not isinstance(record, dict):
-        raise GraphFileError(f"entity record must be an object, got {record!r}")
-    try:
-        entity_id = record["id"]
-        label = record["canonical_label"]
-    except KeyError as exc:
-        raise GraphFileError(f"entity record missing key {exc}") from None
-    forms = record.get("surface_forms", [])
+        raise GraphFileError(f"expected a JSON object, not {type(record).__name__}")
+    if key not in record:
+        if default is _REQUIRED:
+            raise GraphFileError(f"missing key {key!r}")
+        return default
+    value = record[key]
+    if not isinstance(value, kind):
+        raise GraphFileError(f"{key!r} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _parse_entity_record(record: object) -> Entity:
+    forms = _field(record, "surface_forms", list, [])
     try:
         return Entity(
-            id=str(entity_id),
-            canonical_label=str(label),
+            id=_field(record, "id", str),
+            canonical_label=_field(record, "canonical_label", str),
             surface_forms=frozenset(str(form) for form in forms),
         )
     except ValueError as exc:
@@ -505,19 +515,11 @@ def _parse_entity_record(record: object) -> Entity:
 
 
 def _parse_arc_record(record: object) -> Arc:
-    if not isinstance(record, dict):
-        raise GraphFileError(f"arc record must be an object, got {record!r}")
+    cause, effect = _field(record, "cause", str), _field(record, "effect", str)
     try:
-        cause = str(record["cause"])
-        effect = str(record["effect"])
-    except KeyError as exc:
-        raise GraphFileError(f"arc record missing key {exc}") from None
-    flags: set[ArcFlag] = set()
-    for name in record.get("flags", []):
-        try:
-            flags.add(ArcFlag(name))
-        except ValueError:
-            raise GraphFileError(f"unknown arc flag {name!r}") from None
+        flags = {ArcFlag(name) for name in _field(record, "flags", list, [])}
+    except ValueError:
+        raise GraphFileError(f"unknown arc flag in {record!r}") from None
     try:
         return Arc(cause=cause, effect=effect, provenance=Provenance.IMPORTED, flags=flags)
     except SelfLoopError as exc:
@@ -530,10 +532,8 @@ def parse_graph(text: str, kind: GraphKind = GraphKind.EXTRACTED) -> CausalGraph
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFileError(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "entities" not in payload or "arcs" not in payload:
-        raise GraphFileError("graph file needs top-level 'entities' and 'arcs'")
-    entities = [_parse_entity_record(r) for r in payload["entities"]]
-    arcs = [_parse_arc_record(r) for r in payload["arcs"]]
+    entities = [_parse_entity_record(r) for r in _field(payload, "entities", list)]
+    arcs = [_parse_arc_record(r) for r in _field(payload, "arcs", list)]
     try:
         return CausalGraph(kind, entities, arcs)
     except (UnknownEntityError, OppositeArcConflictError, ValueError) as exc:

@@ -34,6 +34,8 @@ from .graph import (
     Entity,
     GraphKind,
     Provenance,
+    _field,
+    _parse_arc_record,
     _parse_entity_record,
     detect_cycles,
     enforce_acyclicity,
@@ -370,8 +372,9 @@ def run_report(run: PipelineRun) -> dict:
 class PartiallyDirectedGraph:
     """Output of a causal-discovery algorithm: some arcs lack orientation.
 
-    Undirected edges are stored as unordered pairs (smaller id first) and
-    must be disjoint from the directed arcs over unordered pairs.
+    Undirected edges are stored as unordered pairs (smaller id first). Each
+    unordered pair occurs at most once, as a directed arc or as an undirected
+    edge, so every malformed input fails here, before any query is paid for.
     """
 
     entities: tuple[Entity, ...]
@@ -379,6 +382,7 @@ class PartiallyDirectedGraph:
     undirected_edges: tuple[PairKey, ...]
 
     def __post_init__(self) -> None:
+        CausalGraph(GraphKind.EXTRACTED, self.entities)  # unique ids and labels
         ids = {entity.id for entity in self.entities}
         object.__setattr__(
             self,
@@ -386,21 +390,14 @@ class PartiallyDirectedGraph:
             tuple(tuple(sorted(pair)) for pair in self.undirected_edges),
         )
         seen: set[frozenset[str]] = set()
-        for cause, effect in self.directed_arcs:
-            if cause == effect:
-                raise ValueError("self-loop in directed arcs")
-            if not {cause, effect} <= ids:
-                raise ValueError(f"unknown endpoint in arc {cause!r} -> {effect!r}")
-            seen.add(frozenset((cause, effect)))
-        for a, b in self.undirected_edges:
+        for a, b in (*self.directed_arcs, *self.undirected_edges):
             if a == b:
-                raise ValueError("self-loop in undirected edges")
+                raise ValueError(f"self-loop on {a!r}")
             if not {a, b} <= ids:
-                raise ValueError(f"unknown endpoint in edge {a!r} - {b!r}")
+                raise ValueError(f"unknown endpoint in pair {a!r}, {b!r}")
             if frozenset((a, b)) in seen:
-                raise ValueError(
-                    f"pair {a!r}, {b!r} is both directed and undirected"
-                )
+                raise ValueError(f"pair {a!r}, {b!r} occurs more than once")
+            seen.add(frozenset((a, b)))
 
 
 def parse_pdag(text: str) -> PartiallyDirectedGraph:
@@ -409,14 +406,11 @@ def parse_pdag(text: str) -> PartiallyDirectedGraph:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFileError(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "entities" not in payload:
-        raise GraphFileError("partially directed graph file needs 'entities'")
-    entities = tuple(_parse_entity_record(r) for r in payload["entities"])
-    directed = tuple(
-        (str(r["cause"]), str(r["effect"])) for r in payload.get("arcs", [])
-    )
+    entities = tuple(_parse_entity_record(r) for r in _field(payload, "entities", list))
+    directed = tuple(_parse_arc_record(r).pair for r in _field(payload, "arcs", list, []))
     undirected = tuple(
-        (str(r["a"]), str(r["b"])) for r in payload.get("undirected", [])
+        (_field(r, "a", str), _field(r, "b", str))
+        for r in _field(payload, "undirected", list, [])
     )
     try:
         return PartiallyDirectedGraph(entities, directed, undirected)

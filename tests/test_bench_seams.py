@@ -14,7 +14,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from causaltext import cli, evaluation, pipeline
-from synth import pipeline_document
+from synth import benchmark_with_scripted_replies, pipeline_document
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,3 +66,41 @@ def test_probe_runs_a_replayed_extract_and_restores_every_name(tmp_path, monkeyp
     assert {module for module, _ in patched} == set(modules)
     for module, name in patched:
         assert getattr(module, name) is before[module][name], f"{module.__name__}.{name}"
+
+
+def test_probe_runs_a_replayed_eval_pairs(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import probes
+    import spans
+
+    semeval_text, fixture = benchmark_with_scripted_replies()
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    semeval_path = tmp_path / "bench.txt"
+    semeval_path.write_text(semeval_text, encoding="utf-8")
+    causal = [
+        r for r in evaluation.parse_semeval(semeval_text) if r.causal_orientation is not None
+    ]
+
+    tracer = spans.Tracer()
+    probe = probes.Probe(tracer).install()
+    try:
+        result = CliRunner().invoke(
+            cli.main,
+            ["eval-pairs", "--replay", str(fixture_path), "--out", str(tmp_path / "out"),
+             str(semeval_path)],
+            env={"CAUSALTEXT_CACHE_DIR": str(tmp_path / "cache")},
+            catch_exceptions=False,
+        )
+    finally:
+        probe.uninstall()
+
+    assert result.exit_code == 0, result.output
+    names = {span.name for span in tracer.spans}
+    assert {
+        "evaluation.run_pairwise_eval",
+        "evaluation.parse_semeval",
+        "prompts.question",
+        "evaluation.ask",
+    } <= names
+    assert len(probe.record_seconds) == len(causal)

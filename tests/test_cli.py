@@ -224,6 +224,73 @@ def test_extract_replay_and_record_are_exclusive(tmp_path, runner):
     assert "mutually exclusive" in result.output
 
 
+def test_warm_cache_record_captures_every_exchange(tmp_path, runner, monkeypatch):
+    from causaltext import cli
+    from causaltext.gateway import ReplayTransport
+
+    source_text, fixture = pipeline_document(6)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    # --record runs the live transport; answer it from the fixture instead
+    monkeypatch.setattr(cli, "LiveTransport", lambda config: ReplayTransport(fixture))
+    for name in ("cold", "warm"):
+        result = runner.invoke(
+            main,
+            ["extract", "--record", str(tmp_path / f"{name}.json"),
+             "--out", str(tmp_path / name), str(doc)],
+            env=_env(tmp_path),
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0, result.output
+    warm = ReplayFixture.load(tmp_path / "warm.json")
+    # C(6, 2) orientation queries plus the entity query, all from the cache
+    assert len(warm.entries) == 16
+    assert warm.entries == fixture.entries
+    assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+
+    result = runner.invoke(
+        main,
+        ["extract", "--replay", str(tmp_path / "warm.json"),
+         "--out", str(tmp_path / "replayed"), str(doc)],
+        env=_env(tmp_path, CAUSALTEXT_CACHE_DIR=str(tmp_path / "fresh_cache")),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0, result.output
+    for suffix in OUTPUT_SUFFIXES:
+        replayed = (tmp_path / "replayed" / f"doc{suffix}").read_bytes()
+        assert replayed == (tmp_path / "cold" / f"doc{suffix}").read_bytes(), suffix
+
+
+def test_unreadable_input_fails_alone(tmp_path, runner):
+    source_text, fixture = pipeline_document(4)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe caf\xe9")
+    good = tmp_path / "good.txt"
+    good.write_text(source_text, encoding="utf-8")
+    out = tmp_path / "out"
+
+    result = runner.invoke(
+        main,
+        ["extract", "--replay", str(fixture_path), "--out", str(out), str(bad), str(good)],
+        env=_env(tmp_path),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 2
+    assert f"error: {bad}:" in result.output
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"good{suffix}" for suffix in OUTPUT_SUFFIXES
+    )
+    for args in (
+        ["eval-pairs", "--replay", str(fixture_path), str(bad)],
+        ["eval-graph", str(bad), str(bad)],
+    ):
+        result = runner.invoke(main, args, env=_env(tmp_path), catch_exceptions=False)
+        assert result.exit_code == 1, args[0]
+        assert "error:" in result.output
+
+
 # --- eval-pairs ----------------------------------------------------------------
 
 
@@ -436,6 +503,16 @@ def test_eval_graph_bad_file_is_config_error(tmp_path, runner):
     assert result.exit_code == 1
 
 
+def test_eval_graph_malformed_graph_file_exits_one(tmp_path, runner):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"entities": 5, "arcs": []}', encoding="utf-8")
+    result = runner.invoke(
+        main, ["eval-graph", str(bad), str(bad)], env=_env(tmp_path), catch_exceptions=False
+    )
+    assert result.exit_code == 1
+    assert "error:" in result.output
+
+
 # --- cache -------------------------------------------------------------------------
 
 
@@ -490,6 +567,31 @@ def test_eval_pairs_refused_while_lock_held(tmp_path, runner):
     assert ".runlock" in result.output
     assert not (out / "pairwise_report.json").exists()
     assert (cache_dir / ".runlock").read_text(encoding="utf-8") == "123"
+
+
+def test_run_refused_by_the_lock_leaves_the_record_file_alone(tmp_path, runner):
+    source_text, fixture = pipeline_document(4)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    semeval_text, _ = benchmark_with_scripted_replies()
+    semeval_path = tmp_path / "bench.txt"
+    semeval_path.write_text(semeval_text, encoding="utf-8")
+    record_path = tmp_path / "recorded.json"
+    fixture.save(record_path)
+    before = record_path.read_bytes()
+    cache_dir = tmp_path / "cache"
+    with run_lock(cache_dir):
+        for command, path in (("extract", doc), ("eval-pairs", semeval_path)):
+            result = runner.invoke(
+                main,
+                [command, "--record", str(record_path), "--out", str(tmp_path / "out"),
+                 str(path)],
+                env=_env(tmp_path),
+                catch_exceptions=False,
+            )
+            assert result.exit_code == 1, command
+            assert ".runlock" in result.output
+            assert record_path.read_bytes() == before, command
 
 
 def _lock_test_inputs(tmp_path) -> tuple[list[str], list[str]]:
@@ -563,6 +665,29 @@ def test_cache_stats_fresh_directory(tmp_path, runner):
     )
     assert result.exit_code == 0
     assert "entries: 0" in result.output
+
+
+def test_each_command_takes_only_the_options_it_reads(tmp_path, runner):
+    import click
+
+    expected = {
+        "extract": {"--config", "--replay", "--record", "--model", "--parallelism",
+                    "--entity-cap", "--enforce-acyclic", "--out", "--domain-hint"},
+        "eval-pairs": {"--config", "--replay", "--record", "--model", "--parallelism",
+                       "--out"},
+        "eval-graph": {"--config", "--out"},
+        "cache": {"--config"},
+    }
+    for name, flags in expected.items():
+        params = main.commands[name].params
+        declared = {
+            flag for param in params if isinstance(param, click.Option)
+            for flag in param.opts
+        }
+        assert declared == flags, name
+    result = runner.invoke(main, ["cache", "stats", "--model", "x"], env=_env(tmp_path))
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 # --- configuration precedence ----------------------------------------------------------

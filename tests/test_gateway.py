@@ -22,7 +22,6 @@ from causaltext.gateway import (
     Gateway,
     LiveTransport,
     ProviderConfig,
-    RecordingTransport,
     ReplayEntry,
     ReplayFixture,
     ReplayTransport,
@@ -31,7 +30,6 @@ from causaltext.gateway import (
     _cache_path,
     cache_stats,
     clear_cache,
-    record_fixture,
     run_lock,
 )
 from causaltext.prompts import RenderedPrompt
@@ -80,13 +78,15 @@ def test_replay_uses_synthetic_latency_from_fixture():
 # --- fixtures ----------------------------------------------------------------
 
 
-def test_record_fixture_round_trip(tmp_path):
+def test_fixture_add_round_trip(tmp_path):
     exchanges = [
         ChatExchange(prompt_for("q1"), "reply one", "m", 1.25, ExchangeSource.LIVE),
         ChatExchange(prompt_for("q2"), "reply étwo", "m", 0.5, ExchangeSource.LIVE),
         ChatExchange(prompt_for("q1"), "reply one", "m", 9.0, ExchangeSource.LIVE),
     ]
-    fixture = record_fixture(exchanges)
+    fixture = ReplayFixture()
+    for exchange in exchanges:
+        fixture.add(exchange)
     path = tmp_path / "fixture.json"
     fixture.save(path)
     loaded = ReplayFixture.load(path)
@@ -96,14 +96,12 @@ def test_record_fixture_round_trip(tmp_path):
         assert loaded.entries[exchange.prompt.fingerprint].reply_text == exchange.reply_text
 
 
-def test_record_fixture_empty_and_conflicting():
-    assert record_fixture([]).entries == {}
-    clash = [
-        ChatExchange(prompt_for("q"), "one", "m", 0.0, ExchangeSource.LIVE),
-        ChatExchange(prompt_for("q"), "two", "m", 0.0, ExchangeSource.LIVE),
-    ]
+def test_fixture_add_empty_and_conflicting():
+    assert ReplayFixture().entries == {}
+    fixture = ReplayFixture()
+    fixture.add(ChatExchange(prompt_for("q"), "one", "m", 0.0, ExchangeSource.LIVE))
     with pytest.raises(DuplicateFingerprintError):
-        record_fixture(clash)
+        fixture.add(ChatExchange(prompt_for("q"), "two", "m", 0.0, ExchangeSource.LIVE))
 
 
 def test_fixture_load_rejects_garbage(tmp_path):
@@ -113,15 +111,29 @@ def test_fixture_load_rejects_garbage(tmp_path):
         ReplayFixture.load(path)
 
 
-def test_recording_transport_captures_exchanges():
-    inner = ScriptedTransport(["first", "second"])
-    recorder = RecordingTransport(inner)
-    gateway = Gateway(ProviderConfig(), recorder)
-    gateway.complete(prompt_for("q1"))
-    gateway.complete(prompt_for("q2"))
-    fixture = recorder.fixture()
-    assert len(fixture.entries) == 2
-    replay = Gateway(ProviderConfig(), ReplayTransport(fixture))
+def test_gateway_records_transport_replies_and_cache_hits(provider_config):
+    source = ReplayFixture(entries={
+        prompt_for("q1").fingerprint: ReplayEntry("first", latency=1.5),
+        prompt_for("q2").fingerprint: ReplayEntry("second"),
+    })
+    record = ReplayFixture()
+    cold = Gateway(provider_config, ReplayTransport(source), record)
+    cold.cached_complete(prompt_for("q1"))
+    cold.cached_complete(prompt_for("q2"))
+    assert record.entries == source.entries
+
+    # a warm gateway over the same cache records without any transport call
+    warm_record = ReplayFixture()
+    warm_transport = ScriptedTransport([])
+    warm = Gateway(provider_config, warm_transport, warm_record)
+    exchange = warm.cached_complete(prompt_for("q1"))
+    assert exchange.source is ExchangeSource.CACHE
+    assert exchange.model_name == provider_config.model_name
+    assert warm_transport.calls == 0
+    # the cached latency is recorded, so a replay reproduces the timing stats
+    assert warm_record.entries == {prompt_for("q1").fingerprint: ReplayEntry("first", 1.5)}
+
+    replay = Gateway(ProviderConfig(), ReplayTransport(record))
     assert replay.complete(prompt_for("q1")).reply_text == "first"
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from causaltext.graph import (
     parse_graph,
     serialize_graph,
 )
+from causaltext.pipeline import parse_pdag
 from fractions import Fraction
 
 from oracles import (
@@ -401,6 +403,44 @@ def test_parse_graph_rejects_bad_files():
             '{"entities": [{"id": "a", "canonical_label": "a"}],'
             ' "arcs": [{"cause": "a", "effect": "a"}]}'
         )
+
+
+_ENTITIES = [{"id": "a", "canonical_label": "a"}, {"id": "b", "canonical_label": "b"}]
+
+
+@pytest.mark.parametrize(
+    "parse, payload",
+    [
+        (parse_graph, []),
+        (parse_graph, {"entities": 5, "arcs": []}),
+        (parse_graph, {"entities": [], "arcs": {}}),
+        (parse_graph, {"entities": [5], "arcs": []}),
+        (parse_graph, {"entities": [{"id": "a"}], "arcs": []}),
+        (parse_graph, {"entities": [{"id": 1, "canonical_label": "a"}], "arcs": []}),
+        (parse_graph, {"entities": [{"id": "a", "canonical_label": "a",
+                                     "surface_forms": 5}], "arcs": []}),
+        (parse_graph, {"entities": [{"id": "a", "canonical_label": "a",
+                                     "surface_forms": "a"}], "arcs": []}),
+        (parse_graph, {"entities": _ENTITIES, "arcs": [1]}),
+        (parse_graph, {"entities": _ENTITIES, "arcs": [{"cause": "a", "effect": "b",
+                                                        "flags": 5}]}),
+        (parse_graph, {"entities": _ENTITIES, "arcs": [{"cause": "a", "effect": "b",
+                                                        "flags": [["x"]]}]}),
+        (parse_pdag, {"entities": 5}),
+        (parse_pdag, {"entities": _ENTITIES, "arcs": [{"cause": "a"}]}),
+        (parse_pdag, {"entities": _ENTITIES, "arcs": [1]}),
+        (parse_pdag, {"entities": _ENTITIES, "arcs": [{"cause": "a", "effect": "b"},
+                                                      {"cause": "a", "effect": "b"}]}),
+        (parse_pdag, {"entities": _ENTITIES, "undirected": [{"a": "a"}]}),
+        (parse_pdag, {"entities": _ENTITIES, "undirected": [{"a": "a", "b": "b"},
+                                                            {"a": "b", "b": "a"}]}),
+        (parse_pdag, {"entities": _ENTITIES, "undirected": {}}),
+        (parse_pdag, {"entities": [*_ENTITIES, {"id": "a", "canonical_label": "c"}]}),
+    ],
+)
+def test_malformed_graph_files_raise_graph_file_error(parse, payload):
+    with pytest.raises(GraphFileError):
+        parse(json.dumps(payload))
 
 
 # --- structural invariants -------------------------------------------------------------
