@@ -40,24 +40,37 @@ from .pipeline import PipelineConfig, run_pipeline, run_report
 
 ENV_PREFIX = "CAUSALTEXT"
 
-_FILE_KEYS = {
-    "model": str,
-    "endpoint": str,
-    "temperature": float,
-    "parallelism": int,
-    "max_retries": int,
-    "requests_per_minute": float,
-    "entity_cap": int,
-    "enforce_acyclic": bool,
-    "domain_hint": str,
-    "cache_dir": str,
-    "out": str,
-    "api_key_env": str,
+# config key -> (JSON type, config class, field); a None class is a Settings field
+_KEYS = {
+    "model": (str, ProviderConfig, "model_name"),
+    "endpoint": (str, ProviderConfig, "endpoint_url"),
+    "temperature": (float, ProviderConfig, "temperature"),
+    "parallelism": (int, ProviderConfig, "parallelism"),
+    "max_retries": (int, ProviderConfig, "max_retries"),
+    "requests_per_minute": (float, ProviderConfig, "requests_per_minute"),
+    "cache_dir": (str, ProviderConfig, "cache_dir"),
+    "api_key_env": (str, ProviderConfig, "api_key_env"),
+    "entity_cap": (int, PipelineConfig, "entity_cap"),
+    "enforce_acyclic": (bool, PipelineConfig, "enforce_acyclic"),
+    "domain_hint": (str, None, "domain_hint"),
+    "out": (str, None, "out_dir"),
 }
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 class ConfigurationError(CausalTextError):
     pass
+
+
+def _file_value(name: str, value: object):
+    """``value`` as its key's type; its JSON type must match, and a bool is no number."""
+    kind = _KEYS[name][0]
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigurationError(
+            f"config key {name!r} must be {_JSON_TYPES[kind]}, not {json.dumps(value)}"
+        )
+    return kind(value)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -69,25 +82,23 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
-    unknown = payload.keys() - _FILE_KEYS.keys()
+    unknown = payload.keys() - _KEYS.keys()
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    return payload
+    return {name: _file_value(name, value) for name, value in payload.items()}
 
 
-def _setting(name, flag_value, file_config, default):
-    """Apply the flags > environment > file > default precedence."""
+def _setting(name, flag_value, file_config):
+    """Apply the flags > environment > file precedence; None when none is set."""
     if flag_value is not None:
         return flag_value
-    cast = _FILE_KEYS[name]
     env_value = os.environ.get(f"{ENV_PREFIX}_{name.upper()}")
-    if env_value is not None:
-        if cast is bool:
-            return env_value.strip().lower() in ("1", "true", "yes")
-        return cast(env_value)
-    if name in file_config:
-        return cast(file_config[name])
-    return default
+    if env_value is None:
+        return file_config.get(name)
+    kind = _KEYS[name][0]
+    if kind is bool:
+        return env_value.strip().lower() in ("1", "true", "yes")
+    return kind(env_value)
 
 
 @dataclass
@@ -114,49 +125,26 @@ def _resolve_settings(
     if replay and record:
         raise ConfigurationError("--replay and --record are mutually exclusive")
     file_config = _load_config_file(config_path)
+    flags = {"model": model, "parallelism": parallelism, "entity_cap": entity_cap,
+             "enforce_acyclic": enforce_acyclic or None, "out": out,
+             "domain_hint": domain_hint}
+    fields: dict = {ProviderConfig: {}, PipelineConfig: {}, None: {}}
     try:
-        provider = ProviderConfig(
-            endpoint_url=_setting(
-                "endpoint", None, file_config, ProviderConfig.endpoint_url
-            ),
-            model_name=_setting("model", model, file_config, ProviderConfig.model_name),
-            temperature=_setting(
-                "temperature", None, file_config, ProviderConfig.temperature
-            ),
-            max_retries=_setting(
-                "max_retries", None, file_config, ProviderConfig.max_retries
-            ),
-            parallelism=_setting(
-                "parallelism", parallelism, file_config, ProviderConfig.parallelism
-            ),
-            requests_per_minute=_setting(
-                "requests_per_minute", None, file_config,
-                ProviderConfig.requests_per_minute,
-            ),
-            cache_dir=_setting("cache_dir", None, file_config, ProviderConfig.cache_dir),
-            api_key_env=_setting(
-                "api_key_env", None, file_config, ProviderConfig.api_key_env
-            ),
-        )
-        pipeline = PipelineConfig(
-            entity_cap=_setting(
-                "entity_cap", entity_cap, file_config, PipelineConfig.entity_cap
-            ),
-            enforce_acyclic=_setting(
-                "enforce_acyclic", enforce_acyclic or None, file_config,
-                PipelineConfig.enforce_acyclic,
-            ),
-        )
+        for name, (_, owner, field_name) in _KEYS.items():
+            value = _setting(name, flags.get(name), file_config)
+            if value is not None:
+                fields[owner][field_name] = value
+        provider = ProviderConfig(**fields[ProviderConfig])
+        pipeline = PipelineConfig(**fields[PipelineConfig])
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
-    out_dir = Path(_setting("out", out, file_config, "."))
     return Settings(
         provider=provider,
         pipeline=pipeline,
-        domain_hint=_setting("domain_hint", domain_hint, file_config, ""),
+        domain_hint=fields[None].get("domain_hint", ""),
         replay_path=replay,
         record_path=record,
-        out_dir=out_dir,
+        out_dir=Path(fields[None].get("out_dir", ".")),
     )
 
 

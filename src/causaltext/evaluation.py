@@ -278,21 +278,10 @@ def render_confusion_table(confusion: ConfusionMatrix) -> str:
 
 
 def _record_question(record: SemEvalRecord) -> OrientationQuestion:
-    # The raw span is a surface form too: it sits at its offset even when
-    # lowercasing changes its length (``İ`` -> ``i̇``), where the normalized
-    # label occurs nowhere in the sentence. The prompt uses only the label.
-    e1 = Entity(
-        id="e1",
-        canonical_label=normalize_label(record.e1_span),
-        surface_forms=frozenset({record.e1_span}),
-        first_offset=record.e1_start,
-    )
-    e2 = Entity(
-        id="e2",
-        canonical_label=normalize_label(record.e2_span),
-        surface_forms=frozenset({record.e2_span}),
-        first_offset=record.e2_start,
-    )
+    e1 = Entity(id="e1", canonical_label=normalize_label(record.e1_span),
+                first_offset=record.e1_start)
+    e2 = Entity(id="e2", canonical_label=normalize_label(record.e2_span),
+                first_offset=record.e2_start)
     return OrientationQuestion.from_pair(record.sentence, e1, e2)
 
 
@@ -324,8 +313,8 @@ def run_pairwise_eval(
                 record.record_id,
             )
             return None, Verdict.UNPARSABLE
-        parsed, _ = _query_with_exchanges(question, gateway)
-        return question, parsed.verdict
+        verdict, _ = _query_with_exchanges(question, gateway)
+        return question, verdict
 
     answers = fan_out(ask, causal, gateway.config.parallelism)
     for (question, verdict), record in zip(answers, causal):

@@ -15,6 +15,7 @@ import fcntl
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Protocol
+from urllib.parse import urlsplit
 
 import requests
 
@@ -72,6 +74,9 @@ class ProviderConfig:
             raise ValueError("parallelism must be >= 1")
         if self.requests_per_minute <= 0:
             raise ValueError("requests_per_minute must be positive")
+        url = urlsplit(self.endpoint_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint {self.endpoint_url!r} is not an http(s) URL")
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
 
 
@@ -95,6 +100,14 @@ class ChatExchange:
     def __post_init__(self) -> None:
         if self.latency < 0:
             raise ValueError("latency must be >= 0")
+
+
+def _checked_latency(value: object) -> float:
+    """A stored latency: a finite number >= 0, else :class:`ValueError`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value >= 0):
+        raise ValueError(f"latency must be a finite number >= 0, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -144,16 +157,26 @@ class ReplayFixture:
 
     @classmethod
     def load(cls, path: Path | str) -> "ReplayFixture":
+        """Read a saved fixture; a malformed file raises :class:`GatewayError`.
+
+        ``entries`` must map fingerprints to objects whose ``reply`` is a
+        string and whose optional ``latency`` is a finite number >= 0; the
+        optional ``strict`` is a boolean.
+        """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            entries = {
-                str(fingerprint): ReplayEntry(
-                    reply_text=str(record["reply"]),
-                    latency=float(record.get("latency", 0.0)),
-                )
-                for fingerprint, record in payload["entries"].items()
-            }
-            return cls(entries=entries, strict=bool(payload.get("strict", True)))
+            if not isinstance(payload, dict) or not isinstance(payload.get("entries"), dict):
+                raise ValueError("expected an object with an 'entries' object")
+            strict = payload.get("strict", True)
+            if not isinstance(strict, bool):
+                raise ValueError(f"'strict' must be a boolean, not {strict!r}")
+            entries = {}
+            for fingerprint, record in payload["entries"].items():
+                if not isinstance(record, dict) or not isinstance(record.get("reply"), str):
+                    raise ValueError(f"entry {fingerprint} needs a string 'reply'")
+                latency = _checked_latency(record.get("latency", 0.0))
+                entries[fingerprint] = ReplayEntry(record["reply"], latency)
+            return cls(entries=entries, strict=strict)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise GatewayError(f"cannot load replay fixture {path}: {exc}") from None
 
@@ -238,6 +261,8 @@ class LiveTransport:
             )
         except (requests.Timeout, requests.ConnectionError) as exc:
             raise _TransientProviderError(str(exc)) from exc
+        except requests.RequestException as exc:
+            raise ProviderUnavailableError(f"request failed: {exc}") from exc
         latency = time.monotonic() - started
 
         if response.status_code in (401, 403):
@@ -385,7 +410,7 @@ class Gateway:
             reply = record["reply_text"]
             if record["key"] != key or record["checksum"] != _checksum(reply):
                 raise ValueError("checksum or key mismatch")
-            latency = float(record["latency"])
+            latency = _checked_latency(record["latency"])
         except (ValueError, KeyError, TypeError):
             log.warning("cache entry %s corrupt; treating as miss", path)
             return None

@@ -42,12 +42,6 @@ class GraphKind(Enum):
     GROUND_TRUTH = "ground_truth"
 
 
-class Provenance(Enum):
-    LLM_VERDICT = "llm_verdict"
-    GROUND_TRUTH_ANNOTATION = "ground_truth_annotation"
-    IMPORTED = "imported"
-
-
 class ArcFlag(Enum):
     SUSPECTED_TRANSITIVE = "suspected_transitive"
     ON_DIRECTED_CYCLE = "on_directed_cycle"
@@ -84,36 +78,19 @@ class Entity:
 
 @dataclass(eq=False)
 class Arc:
-    """A directed cause -> effect relation between two entity ids.
-
-    ``source_exchange`` references the chat exchange that produced the arc
-    (its prompt fingerprint) and is mandatory for LLM verdicts.
-    """
+    """A directed cause -> effect relation between two entity ids."""
 
     cause: str
     effect: str
-    provenance: Provenance = Provenance.IMPORTED
-    source_exchange: str | None = None
     flags: set[ArcFlag] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if self.cause == self.effect:
             raise SelfLoopError(f"self-loop on {self.cause!r}")
-        if self.provenance is Provenance.LLM_VERDICT and not self.source_exchange:
-            raise ValueError("an LLM-verdict arc must reference its exchange")
 
     @property
     def pair(self) -> tuple[str, str]:
         return (self.cause, self.effect)
-
-    def copy(self) -> "Arc":
-        return Arc(
-            cause=self.cause,
-            effect=self.effect,
-            provenance=self.provenance,
-            source_exchange=self.source_exchange,
-            flags=set(self.flags),
-        )
 
 
 class CausalGraph:
@@ -154,7 +131,7 @@ class CausalGraph:
                 raise OppositeArcConflictError(
                     f"arc {arc.cause!r} -> {arc.effect!r} opposes an existing arc"
                 )
-            self._arcs[arc.pair] = arc.copy()
+            self._arcs[arc.pair] = Arc(arc.cause, arc.effect, set(arc.flags))
 
     @property
     def entities(self) -> tuple[Entity, ...]:
@@ -180,9 +157,9 @@ class CausalGraph:
     def __eq__(self, other: object) -> bool:
         """Structural equality: entities, arc pairs and arc flags.
 
-        Kind, provenance, exchange references and offsets are runtime
-        metadata outside the structured file schema, so they do not take
-        part in equality; this is what serialization round-trips preserve.
+        Kind and offsets are runtime metadata outside the structured file
+        schema, so they do not take part in equality; this is what
+        serialization round-trips preserve.
         """
         if not isinstance(other, CausalGraph):
             return NotImplemented
@@ -211,11 +188,10 @@ class CycleReport:
     """All simple directed cycles, each rotated to start at its smallest id."""
 
     cycles: tuple[tuple[str, ...], ...]
-    is_acyclic: bool
 
-    def __post_init__(self) -> None:
-        if self.is_acyclic != (not self.cycles):
-            raise ValueError("is_acyclic must mirror an empty cycle list")
+    @property
+    def is_acyclic(self) -> bool:
+        return not self.cycles
 
     def to_dict(self) -> dict:
         return {"is_acyclic": self.is_acyclic, "cycles": [list(c) for c in self.cycles]}
@@ -263,7 +239,7 @@ def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Cyc
         else:
             arc.flags.discard(ArcFlag.ON_DIRECTED_CYCLE)
 
-    return CycleReport(cycles=tuple(cycles), is_acyclic=not cycles)
+    return CycleReport(tuple(cycles))
 
 
 def _reachable(
@@ -521,7 +497,7 @@ def _parse_arc_record(record: object) -> Arc:
     except ValueError:
         raise GraphFileError(f"unknown arc flag in {record!r}") from None
     try:
-        return Arc(cause=cause, effect=effect, provenance=Provenance.IMPORTED, flags=flags)
+        return Arc(cause, effect, flags)
     except SelfLoopError as exc:
         raise GraphFileError(str(exc)) from None
 

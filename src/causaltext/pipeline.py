@@ -33,7 +33,6 @@ from .graph import (
     CycleReport,
     Entity,
     GraphKind,
-    Provenance,
     _field,
     _parse_arc_record,
     _parse_entity_record,
@@ -43,7 +42,6 @@ from .graph import (
 )
 from .prompts import (
     OrientationQuestion,
-    ParsedVerdict,
     Verdict,
     entity_offset,
     find_first_offset,
@@ -101,45 +99,28 @@ def extract_entities(
 
     Synonym groups collapse into one entity whose canonical label is the
     group member appearing earliest in the text and whose surface forms keep
-    every member. Spans that never occur in the text are dropped with a
-    warning, the result is sorted by first offset, and at most ``entity_cap``
-    entities survive (earliest mentions win).
+    every member; every other span is a group of one. A group none of whose
+    members occurs in the text is dropped with a warning, the result is
+    sorted by first offset, and at most ``entity_cap`` entities survive
+    (earliest mentions win).
     """
     prompt = render_entity_prompt(source_text, domain_hint)
     exchange = gateway.cached_complete(prompt)
     listing = parse_entity_list(exchange.reply_text)
     offsets = {span: find_first_offset(source_text, span) for span in listing.entities}
 
-    grouped: set[str] = set()
+    grouped = frozenset().union(*listing.merge_groups)
+    singles = (frozenset({span}) for span in listing.entities if span not in grouped)
     entities: list[Entity] = []
-    for cluster in listing.merge_groups:
-        grouped |= cluster
-        located = sorted(
-            (offsets[m], m) for m in cluster if offsets.get(m) is not None
-        )
+    for cluster in (*listing.merge_groups, *singles):
+        located = sorted((offsets[m], m) for m in cluster if offsets[m] is not None)
         if not located:
-            log.warning("dropping synonym group %s: no member occurs in the text",
-                        sorted(cluster))
+            log.warning("dropping %s: does not occur in the text", sorted(cluster))
             continue
         first_offset, canonical = located[0]
         entities.append(
-            Entity(
-                id=canonical,
-                canonical_label=canonical,
-                surface_forms=frozenset(cluster),
-                first_offset=first_offset,
-            )
-        )
-    for span in listing.entities:
-        if span in grouped:
-            continue
-        offset = offsets.get(span)
-        if offset is None:
-            log.warning("dropping entity %r: does not occur in the text", span)
-            continue
-        entities.append(
-            Entity(id=span, canonical_label=span, surface_forms=frozenset({span}),
-                   first_offset=offset)
+            Entity(id=canonical, canonical_label=canonical, surface_forms=cluster,
+                   first_offset=first_offset)
         )
 
     if not entities:
@@ -160,11 +141,15 @@ def enumerate_pairs(
 ) -> tuple[OrientationQuestion, ...]:
     """All C(n, 2) unordered pairs, each exactly once, in document order.
 
-    The order depends only on (first_offset, canonical_label), so it is
-    invariant under permutations of the input sequence.
+    Each entity is located in the text once, and one that does not occur
+    raises :class:`EntityNotInTextError`. The order depends only on the
+    given (first_offset, canonical_label), so it is invariant under
+    permutations of the input sequence.
     """
     if len(entities) < 2:
         raise TooFewEntitiesError("pair enumeration needs at least two entities")
+    for entity in entities:
+        _require_in_text(source_text, entity)
     ordered = sorted(entities, key=lambda e: (e.first_offset, e.canonical_label))
     return tuple(
         OrientationQuestion.from_pair(source_text, a, b)
@@ -172,50 +157,51 @@ def enumerate_pairs(
     )
 
 
+def _require_in_text(source_text: str, entity: Entity) -> int:
+    """The earliest offset of ``entity`` in the text; raises when it is absent."""
+    offset = entity_offset(source_text, entity)
+    if offset is None:
+        raise EntityNotInTextError(
+            f"no surface form of {entity.canonical_label!r} occurs in the text"
+        )
+    return offset
+
+
 def _query_with_exchanges(
     question: OrientationQuestion, gateway: Gateway
-) -> tuple[ParsedVerdict, tuple[ChatExchange, ...]]:
+) -> tuple[Verdict, tuple[ChatExchange, ...]]:
     prompt = render_orientation_prompt(question)
     first = gateway.cached_complete(prompt)
-    parsed = parse_verdict(first.reply_text)
-    if parsed.verdict is not Verdict.UNPARSABLE:
-        return parsed, (first,)
+    verdict = parse_verdict(first.reply_text)
+    if verdict is not Verdict.UNPARSABLE:
+        return verdict, (first,)
     retry = gateway.cached_complete(render_reask_prompt(prompt))
     return parse_verdict(retry.reply_text), (first, retry)
 
 
-def query_orientation(question: OrientationQuestion, gateway: Gateway) -> ParsedVerdict:
+def query_orientation(question: OrientationQuestion, gateway: Gateway) -> Verdict:
     """Ask one pairwise orientation question.
 
     An unparsable reply triggers exactly one re-ask with a reminder to answer
     inside the tags; a second unparsable reply is returned as a value, not an
     error, so one flaky reply cannot abort a long run.
     """
-    parsed, _ = _query_with_exchanges(question, gateway)
-    return parsed
+    return _query_with_exchanges(question, gateway)[0]
 
 
 def build_graph(
-    entities: tuple[Entity, ...] | list[Entity],
-    verdicts: dict[PairKey, ParsedVerdict],
-    sources: dict[PairKey, str] | None = None,
+    entities: tuple[Entity, ...] | list[Entity], verdicts: dict[PairKey, Verdict]
 ) -> CausalGraph:
     """Assemble the extracted graph from per-pair verdicts.
 
     Forward adds a -> b, Backward adds b -> a; NoRelation and Unparsable add
-    nothing. ``sources`` maps pair keys to the fingerprint of the exchange
-    behind the verdict; without it a synthetic pair reference keeps the
-    provenance trail non-empty.
+    nothing.
     """
-    arcs = []
-    for (a, b), parsed in sorted(verdicts.items()):
-        arc = oriented((a, b), parsed.verdict)
-        if arc is None:
-            continue
-        reference = (sources or {}).get((a, b)) or f"pair:{a}->{b}"
-        arcs.append(
-            Arc(*arc, provenance=Provenance.LLM_VERDICT, source_exchange=reference)
-        )
+    arcs = [
+        Arc(*arc)
+        for pair, verdict in sorted(verdicts.items())
+        if (arc := oriented(pair, verdict)) is not None
+    ]
     return CausalGraph(GraphKind.EXTRACTED, entities, arcs)
 
 
@@ -243,7 +229,7 @@ class PipelineRun:
 
     source_text: str
     entities: tuple[Entity, ...]
-    verdicts: dict[PairKey, ParsedVerdict]
+    verdicts: dict[PairKey, Verdict]
     graph: CausalGraph
     cycle_report: CycleReport
     transitive_arcs: tuple[Arc, ...]
@@ -253,11 +239,11 @@ class PipelineRun:
 
 def _stats_from(
     questions: tuple[OrientationQuestion, ...],
-    verdicts: dict[PairKey, ParsedVerdict],
+    verdicts: dict[PairKey, Verdict],
     exchange_lists: list[tuple[ChatExchange, ...]],
 ) -> RunStats:
     latencies = [ex.latency for exchanges in exchange_lists for ex in exchanges]
-    finals = [verdicts[q.pair_key].verdict for q in questions]
+    finals = [verdicts[q.pair_key] for q in questions]
     return RunStats(
         query_count=len(questions),
         reask_count=sum(1 for exchanges in exchange_lists if len(exchanges) > 1),
@@ -298,7 +284,7 @@ def run_pipeline(
         completed = "enumerate_pairs"
         partial["questions"] = questions
 
-        verdicts: dict[PairKey, ParsedVerdict] = {}
+        verdicts: dict[PairKey, Verdict] = {}
         partial["verdicts"] = verdicts
         exchange_lists: list[tuple[ChatExchange, ...]] = []
         answers = fan_out(
@@ -306,16 +292,12 @@ def run_pipeline(
             questions,
             gateway.config.parallelism,
         )
-        for (parsed, exchanges), question in zip(answers, questions):
-            verdicts[question.pair_key] = parsed
+        for (verdict, exchanges), question in zip(answers, questions):
+            verdicts[question.pair_key] = verdict
             exchange_lists.append(exchanges)
         completed = "query_orientation"
 
-        sources = {
-            question.pair_key: exchanges[-1].prompt.fingerprint
-            for question, exchanges in zip(questions, exchange_lists)
-        }
-        graph = build_graph(entities, verdicts, sources)
+        graph = build_graph(entities, verdicts)
         completed = "build_graph"
         partial["graph"] = graph
 
@@ -358,7 +340,7 @@ def run_report(run: PipelineRun) -> dict:
             for entity in run.entities
         ],
         "verdicts": [
-            {"a": a, "b": b, "verdict": run.verdicts[(a, b)].verdict.value}
+            {"a": a, "b": b, "verdict": run.verdicts[(a, b)].value}
             for a, b in sorted(run.verdicts)
         ],
         "cycles": run.cycle_report.to_dict(),
@@ -423,8 +405,7 @@ def orient_cpdag(
 ) -> CausalGraph:
     """Orient the undirected edges of a discovery output against a text.
 
-    Already-directed arcs pass through untouched (provenance Imported) and
-    cost zero queries. Every endpoint of an undirected edge is located in the
+    Already-directed arcs pass through untouched and cost zero queries. Every endpoint of an undirected edge is located in the
     text once, before the first query. Each undirected edge is then asked
     once, up to the gateway's parallelism at a time; NoRelation or a
     still-unparsable reply drops the edge with a warning, since the discovery
@@ -436,11 +417,7 @@ def orient_cpdag(
     def locate(entity_id: str) -> Entity:
         if entity_id not in located:
             entity = by_id[entity_id]
-            offset = entity_offset(source_text, entity)
-            if offset is None:
-                raise EntityNotInTextError(
-                    f"no surface form of {entity.canonical_label!r} occurs in the text"
-                )
+            offset = _require_in_text(source_text, entity)
             located[entity_id] = replace(entity, first_offset=offset)
         return located[entity_id]
 
@@ -454,12 +431,9 @@ def orient_cpdag(
         questions,
         gateway.config.parallelism,
     )
-    arcs = [
-        Arc(cause=cause, effect=effect, provenance=Provenance.IMPORTED)
-        for cause, effect in pdag.directed_arcs
-    ]
-    for (parsed, exchanges), (a_id, b_id), question in zip(answers, edges, questions):
-        arc = oriented(question.pair_key, parsed.verdict)
+    arcs = [Arc(cause, effect) for cause, effect in pdag.directed_arcs]
+    for (verdict, _), (a_id, b_id), question in zip(answers, edges, questions):
+        arc = oriented(question.pair_key, verdict)
         if arc is None:
             log.warning(
                 "dropping undirected edge %r - %r: text did not confirm a direction",
@@ -467,11 +441,5 @@ def orient_cpdag(
                 b_id,
             )
             continue
-        arcs.append(
-            Arc(
-                *arc,
-                provenance=Provenance.LLM_VERDICT,
-                source_exchange=exchanges[-1].prompt.fingerprint,
-            )
-        )
+        arcs.append(Arc(*arc))
     return CausalGraph(GraphKind.EXTRACTED, pdag.entities, arcs)

@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib.resources import files
 
-from .errors import EmptyTextError, EntityNotInTextError, NoEntitiesFoundError
+from .errors import EmptyTextError, NoEntitiesFoundError
 from .graph import Entity, normalize_label
 
 
@@ -75,38 +75,15 @@ def entity_offset(source_text: str, entity: Entity) -> int | None:
     return min(offsets) if offsets else None
 
 
-def _occurs_at_first_offset(source_text: str, entity: Entity) -> bool:
-    """True when some surface form of ``entity`` starts at its ``first_offset``.
-
-    A form written verbatim there (tokens joined by single spaces) is accepted
-    without compiling a pattern; that is a special case of the anchored match
-    below, which handles other case and wrapped whitespace.
-    """
-    forms = entity.surface_forms
-    for form in forms:
-        literal = " ".join(form.split())
-        if literal and source_text.startswith(literal, entity.first_offset):
-            return True
-    for form in forms:
-        pattern = _form_pattern(form)
-        if pattern and pattern.match(source_text, entity.first_offset):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class OrientationQuestion:
     """One pairwise cause-effect query over a source text.
 
     ``entity_a`` precedes ``entity_b`` in the document (first_offset order,
-    ties broken by canonical label); both must actually occur in the text.
-    Each entity is checked in three steps, each taken only when the one
-    before misses: some surface form, tokens joined by single spaces, starts
-    verbatim at ``first_offset``; some form matches there under
-    :func:`find_first_offset`'s rule (any case, any whitespace between
-    tokens); some form occurs anywhere in the text (a stale or default
-    offset). A hit in the first step implies one in the second, so it saves
-    a pattern compile without changing which questions are accepted.
+    ties broken by canonical label). The question searches nothing: its
+    callers locate the entities where they enter (extraction,
+    :func:`~causaltext.pipeline.enumerate_pairs`, CPDAG orientation, the
+    benchmark records).
     """
 
     source_text: str
@@ -116,13 +93,6 @@ class OrientationQuestion:
     def __post_init__(self) -> None:
         if self.entity_a.canonical_label == self.entity_b.canonical_label:
             raise ValueError("a question needs two distinct entities")
-        for entity in (self.entity_a, self.entity_b):
-            if _occurs_at_first_offset(self.source_text, entity):
-                continue
-            if entity_offset(self.source_text, entity) is None:
-                raise EntityNotInTextError(
-                    f"no surface form of {entity.canonical_label!r} occurs in the text"
-                )
 
     @classmethod
     def from_pair(cls, source_text: str, first: Entity, second: Entity) -> "OrientationQuestion":
@@ -173,33 +143,22 @@ def oriented(pair: tuple[str, str], verdict: Verdict) -> tuple[str, str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ParsedVerdict:
-    verdict: Verdict
-    rationale_text: str
-
-
 _ANSWER_TAG = re.compile(r"<Answer>(.*?)</Answer>", re.IGNORECASE | re.DOTALL)
 _OPTION_MAP = {"A": Verdict.FORWARD, "B": Verdict.BACKWARD, "C": Verdict.NO_RELATION}
 
 
-def parse_verdict(raw_reply: str) -> ParsedVerdict:
+def parse_verdict(raw_reply: str) -> Verdict:
     """Map a model reply onto a verdict; never raises.
 
     The reply is scanned for ``<Answer>...</Answer>`` tags and the last one
     wins, since step-by-step reasoning may mention candidate answers before
     the conclusion. The option letter is read case-insensitively with
-    surrounding whitespace tolerated; anything else is ``UNPARSABLE``. The
-    rationale is the reply text preceding the tag that was used (the whole
-    reply when no tag was found).
+    surrounding whitespace tolerated; anything else is ``UNPARSABLE``.
     """
-    matches = list(_ANSWER_TAG.finditer(raw_reply))
+    matches = _ANSWER_TAG.findall(raw_reply)
     if not matches:
-        return ParsedVerdict(Verdict.UNPARSABLE, raw_reply)
-    last = matches[-1]
-    option = last.group(1).strip().upper()
-    verdict = _OPTION_MAP.get(option, Verdict.UNPARSABLE)
-    return ParsedVerdict(verdict, raw_reply[: last.start()])
+        return Verdict.UNPARSABLE
+    return _OPTION_MAP.get(matches[-1].strip().upper(), Verdict.UNPARSABLE)
 
 
 def render_entity_prompt(source_text: str, domain_hint: str = "") -> RenderedPrompt:

@@ -41,7 +41,7 @@ from causaltext.graph import (
     parse_graph,
 )
 from causaltext.pipeline import PipelineConfig, PipelineRun, RunStats, run_pipeline
-from conftest import DATA_DIR, CountingTransport
+from helpers import DATA_DIR, CountingTransport
 from oracles import (
     brute_force_counts,
     brute_force_has_witness_path,
@@ -322,7 +322,7 @@ def test_shortcut_pattern_precision_and_transitive_share():
             entities=extracted.entities,
             verdicts={},
             graph=extracted,
-            cycle_report=CycleReport((), True),
+            cycle_report=CycleReport(()),
             transitive_arcs=(extracted.arc("a", "c"),),
             removed_arcs=(),
             stats=RunStats(3, 0, 1, 0, 0.0, 0.0, 0.0),

@@ -224,6 +224,46 @@ def test_extract_replay_and_record_are_exclusive(tmp_path, runner):
     assert "mutually exclusive" in result.output
 
 
+def _every_entry(payload: dict, key: str, value) -> dict:
+    for entry in payload["entries"].values():
+        entry[key] = value
+    return payload
+
+
+# refused on load: unchecked, each would crash a run midway or change what it does
+MALFORMED_FIXTURES = {
+    "entries not an object": lambda payload: {"entries": []},
+    "payload not an object": lambda payload: [payload],
+    "entry not an object": lambda payload: {"entries": {"f": "reply"}},
+    "reply not a string": lambda payload: _every_entry(payload, "reply", 5),
+    "negative latency": lambda payload: _every_entry(payload, "latency", -1),
+    "NaN latency": lambda payload: _every_entry(payload, "latency", float("nan")),
+    "string latency": lambda payload: _every_entry(payload, "latency", "1.5"),
+    "boolean latency": lambda payload: _every_entry(payload, "latency", True),
+    "string strict": lambda payload: {**payload, "strict": "false"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIXTURES))
+def test_malformed_replay_fixture_exits_one(tmp_path, runner, case):
+    source_text, fixture = pipeline_document(4)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    payload = json.loads(fixture_path.read_text(encoding="utf-8"))
+    fixture_path.write_text(json.dumps(MALFORMED_FIXTURES[case](payload)), encoding="utf-8")
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["extract", "--replay", str(fixture_path), "--out", str(tmp_path / "out"), str(doc)],
+        env=_env(tmp_path),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: cannot load replay fixture" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_warm_cache_record_captures_every_exchange(tmp_path, runner, monkeypatch):
     from causaltext import cli
     from causaltext.gateway import ReplayTransport
@@ -729,6 +769,76 @@ def test_settings_precedence_flags_env_file(tmp_path, monkeypatch):
     )
     assert settings.provider.model_name == "env-model"
     assert settings.provider.parallelism == 3
+
+
+# never cast: `bool("false")` is True, and `str(None)` names a directory "None"
+BAD_CONFIG_VALUES = [
+    ("enforce_acyclic", "false"),
+    ("enforce_acyclic", 1),
+    ("cache_dir", None),
+    ("temperature", None),
+    ("temperature", "0.5"),
+    ("parallelism", [2]),
+    ("parallelism", True),
+    ("entity_cap", 2.5),
+    ("model", 5),
+    ("out", {"dir": "x"}),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
+def test_config_file_value_of_the_wrong_json_type_exits_one(tmp_path, runner, key, value):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+    result = runner.invoke(
+        main, ["cache", "stats", "--config", str(config_path)],
+        env=_env(tmp_path), catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert f"error: config key {key!r} must be" in result.output
+
+
+def test_config_file_numbers_keep_their_meaning(tmp_path, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("CAUSALTEXT_"):
+            monkeypatch.delenv(name)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "temperature": 0, "requests_per_minute": 60, "parallelism": 2,
+        "enforce_acyclic": False, "cache_dir": "c", "domain_hint": "",
+    }), encoding="utf-8")
+    settings = _resolve_settings(config_path=str(config_path))
+    # an integer temperature becomes 0.0, so the cache key is that of the default
+    assert repr(settings.provider.temperature) == "0.0"
+    assert repr(settings.provider.requests_per_minute) == "60.0"
+    assert settings.provider.parallelism == 2
+    assert settings.provider.cache_dir == Path("c")
+    assert settings.pipeline.enforce_acyclic is False
+
+
+def test_non_http_endpoint_exits_one_before_any_request(tmp_path, runner, monkeypatch):
+    import requests
+
+    calls = []
+
+    def refuse(url, **kwargs):
+        calls.append(url)
+        raise requests.exceptions.InvalidSchema(f"No connection adapters were found for {url!r}")
+
+    monkeypatch.setattr(requests, "post", refuse)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"endpoint": "localhost:9/v1/chat/completions"}), encoding="utf-8"
+    )
+    doc = tmp_path / "doc.txt"
+    doc.write_text("rain makes the ground wet", encoding="utf-8")
+    result = runner.invoke(
+        main, ["extract", "--config", str(config_path), str(doc)],
+        env=_env(tmp_path), catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: endpoint 'localhost:9/v1/chat/completions' is not" in result.output
+    assert calls == []
 
 
 def test_settings_reject_unknown_config_keys(tmp_path):

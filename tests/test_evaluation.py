@@ -301,7 +301,7 @@ def _shortcut_run() -> PipelineRun:
         entities=tuple(entities),
         verdicts={},
         graph=graph,
-        cycle_report=CycleReport((), True),
+        cycle_report=CycleReport(()),
         transitive_arcs=(),
         removed_arcs=(),
         stats=RunStats(3, 0, 0, 0, 0.0, 0.0, 0.0),

@@ -6,6 +6,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from causaltext.errors import (
     AuthError,
@@ -33,7 +34,7 @@ from causaltext.gateway import (
     run_lock,
 )
 from causaltext.prompts import RenderedPrompt
-from conftest import CountingTransport, ScriptedTransport
+from helpers import CountingTransport, ScriptedTransport
 
 GOOD_PAYLOAD = {"choices": [{"message": {"content": "fine.\n<Answer>A</Answer>"}}]}
 
@@ -333,6 +334,22 @@ def test_cache_checksum_mismatch_treated_as_miss(tmp_path):
     assert transport.calls == 2
 
 
+@pytest.mark.parametrize("latency", [-1, float("nan"), float("inf"), "1.5", True, None])
+def test_cache_entry_with_bad_latency_treated_as_miss(tmp_path, caplog, latency):
+    gateway, transport = _cached_gateway(tmp_path, ["one", "two"])
+    prompt = prompt_for("q")
+    gateway.cached_complete(prompt)
+    path = _cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record["latency"] = latency
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        exchange = gateway.cached_complete(prompt)
+    assert (exchange.reply_text, exchange.latency) == ("two", 0.0)
+    assert transport.calls == 2
+    assert any("corrupt" in record.message for record in caplog.records)
+
+
 # --- rate limiting ------------------------------------------------------------
 
 
@@ -404,6 +421,26 @@ def test_provider_config_validation():
         ProviderConfig(max_retries=-1)
     with pytest.raises(ValueError):
         ProviderConfig(parallelism=0)
+    for url in ("localhost:9/v1/chat/completions", "ftp://host/chat", "http:///chat",
+                "https://", "/v1/chat/completions"):
+        with pytest.raises(ValueError, match="http"):
+            ProviderConfig(endpoint_url=url)
+
+
+def test_live_unretryable_request_error_is_provider_unavailable(monkeypatch):
+    # no request leaves the process: requests.post itself is replaced
+    calls = []
+
+    def refuse(url, **kwargs):
+        calls.append(url)
+        raise requests.exceptions.InvalidHeader("bad header")
+
+    monkeypatch.setattr(requests, "post", refuse)
+    config = ProviderConfig(backoff_base=0.0, requests_per_minute=1e9)
+    gateway = Gateway(config, LiveTransport(config))
+    with pytest.raises(ProviderUnavailableError, match="bad header"):
+        gateway.complete(prompt_for("q"))
+    assert len(calls) == 1
 
 
 def test_chat_exchange_rejects_negative_latency():

@@ -22,7 +22,6 @@ from causaltext.graph import (
     Entity,
     GraphFormat,
     GraphKind,
-    Provenance,
     compare_graphs,
     detect_cycles,
     enforce_acyclicity,
@@ -88,11 +87,9 @@ def test_entity_surface_forms_always_contain_canonical_label():
     assert "other" in entity.surface_forms
 
 
-def test_arc_rejects_self_loops_and_unreferenced_verdicts():
+def test_arc_rejects_self_loops():
     with pytest.raises(SelfLoopError):
         Arc("a", "a")
-    with pytest.raises(ValueError):
-        Arc("a", "b", provenance=Provenance.LLM_VERDICT)
 
 
 # --- detect_cycles ---------------------------------------------------------------
@@ -144,8 +141,10 @@ def test_detect_cycles_budget():
 
 
 def test_cycle_report_consistency_enforced():
-    with pytest.raises(ValueError):
-        CycleReport(cycles=(("a", "b"),), is_acyclic=True)
+    # is_acyclic is derived from the cycle list, so the two cannot disagree
+    assert CycleReport(()).is_acyclic
+    assert not CycleReport((("a", "b"),)).is_acyclic
+    assert CycleReport((("a", "b"),)).to_dict() == {"is_acyclic": False, "cycles": [["a", "b"]]}
 
 
 # --- flag_transitive_candidates ---------------------------------------------------

@@ -25,7 +25,6 @@ from causaltext.graph import (
     CausalGraph,
     Entity,
     GraphFormat,
-    Provenance,
     serialize_graph,
 )
 from causaltext.pipeline import (
@@ -42,13 +41,12 @@ from causaltext.pipeline import (
 )
 from causaltext.prompts import (
     OrientationQuestion,
-    ParsedVerdict,
     Verdict,
     render_entity_prompt,
     render_orientation_prompt,
     render_reask_prompt,
 )
-from conftest import DATA_DIR, CountingTransport
+from helpers import DATA_DIR, CountingTransport
 from synth import expected_pipeline_arcs, pipeline_document
 
 MEDICAL_HINT = "diseases, medications, treatments, and symptoms"
@@ -184,11 +182,11 @@ def test_query_orientation_forward_and_no_relation(gateway_factory):
     sens = entity("sensitization", text.index("sensitization"))
     question, entries = _pair_fixture(text, fume, sens, "reasoning\n<Answer>A</Answer>")
     gateway, _ = gateway_factory(ReplayFixture(entries=entries))
-    assert query_orientation(question, gateway).verdict is Verdict.FORWARD
+    assert query_orientation(question, gateway) is Verdict.FORWARD
 
     question2, entries2 = _pair_fixture(text, fume, sens, "<Answer>C</Answer>")
     gateway2, _ = gateway_factory(ReplayFixture(entries=entries2))
-    assert query_orientation(question2, gateway2).verdict is Verdict.NO_RELATION
+    assert query_orientation(question2, gateway2) is Verdict.NO_RELATION
 
 
 def test_query_orientation_reasks_once_then_succeeds(gateway_factory):
@@ -205,8 +203,7 @@ def test_query_orientation_reasks_once_then_succeeds(gateway_factory):
         }
     )
     gateway, counter = gateway_factory(fixture, counting=True)
-    parsed = query_orientation(question, gateway)
-    assert parsed.verdict is Verdict.BACKWARD
+    assert query_orientation(question, gateway) is Verdict.BACKWARD
     assert counter.calls == 2
 
 
@@ -224,32 +221,26 @@ def test_query_orientation_tolerates_double_unparsable(gateway_factory):
         }
     )
     gateway, _ = gateway_factory(fixture)
-    assert query_orientation(question, gateway).verdict is Verdict.UNPARSABLE
+    assert query_orientation(question, gateway) is Verdict.UNPARSABLE
 
 
 # --- build_graph ----------------------------------------------------------------------
 
 
-def _verdict(kind: Verdict) -> ParsedVerdict:
-    return ParsedVerdict(kind, "")
-
-
 def test_build_graph_direct_mapping():
     entities = [entity("a", 0), entity("b", 2), entity("c", 4)]
     verdicts = {
-        ("a", "b"): _verdict(Verdict.FORWARD),
-        ("b", "c"): _verdict(Verdict.FORWARD),
-        ("a", "c"): _verdict(Verdict.NO_RELATION),
+        ("a", "b"): Verdict.FORWARD,
+        ("b", "c"): Verdict.FORWARD,
+        ("a", "c"): Verdict.NO_RELATION,
     }
     graph = build_graph(entities, verdicts)
     assert {arc.pair for arc in graph.arcs} == {("a", "b"), ("b", "c")}
-    assert all(arc.provenance is Provenance.LLM_VERDICT for arc in graph.arcs)
-    assert all(arc.source_exchange for arc in graph.arcs)
 
 
 def test_build_graph_all_no_relation():
     entities = [entity("a", 0), entity("b", 2)]
-    graph = build_graph(entities, {("a", "b"): _verdict(Verdict.NO_RELATION)})
+    graph = build_graph(entities, {("a", "b"): Verdict.NO_RELATION})
     assert graph.arcs == ()
 
 
@@ -261,15 +252,13 @@ def test_build_graph_matches_fold_oracle_on_random_mappings():
         verdicts = {}
         for i in range(5):
             for j in range(i + 1, 5):
-                verdicts[(names[i], names[j])] = _verdict(
-                    rng.choice(list(Verdict))
-                )
+                verdicts[(names[i], names[j])] = rng.choice(list(Verdict))
         graph = build_graph(entities, verdicts)
         expected = set()
-        for (a, b), parsed in verdicts.items():
-            if parsed.verdict is Verdict.FORWARD:
+        for (a, b), verdict in verdicts.items():
+            if verdict is Verdict.FORWARD:
                 expected.add((a, b))
-            elif parsed.verdict is Verdict.BACKWARD:
+            elif verdict is Verdict.BACKWARD:
                 expected.add((b, a))
         assert {arc.pair for arc in graph.arcs} == expected
 
@@ -277,9 +266,9 @@ def test_build_graph_matches_fold_oracle_on_random_mappings():
 def test_build_graph_order_independent():
     entities = [entity("a", 0), entity("b", 2), entity("c", 4)]
     verdicts = {
-        ("a", "b"): _verdict(Verdict.FORWARD),
-        ("a", "c"): _verdict(Verdict.BACKWARD),
-        ("b", "c"): _verdict(Verdict.FORWARD),
+        ("a", "b"): Verdict.FORWARD,
+        ("a", "c"): Verdict.BACKWARD,
+        ("b", "c"): Verdict.FORWARD,
     }
     reversed_verdicts = dict(reversed(list(verdicts.items())))
     assert build_graph(entities, verdicts) == build_graph(entities, reversed_verdicts)
@@ -295,13 +284,13 @@ def test_run_pipeline_replayed_document_matches_expected_graph(gateway_factory):
     assert {arc.pair for arc in run.graph.arcs} == expected_pipeline_arcs(6)
     forward_backward = sum(
         1
-        for parsed in run.verdicts.values()
-        if parsed.verdict in (Verdict.FORWARD, Verdict.BACKWARD)
+        for verdict in run.verdicts.values()
+        if verdict in (Verdict.FORWARD, Verdict.BACKWARD)
     )
     assert len(run.graph.arcs) == forward_backward
     assert run.stats.query_count == 15
     assert run.stats.abstention_count == sum(
-        1 for parsed in run.verdicts.values() if parsed.verdict is Verdict.NO_RELATION
+        1 for verdict in run.verdicts.values() if verdict is Verdict.NO_RELATION
     )
 
 
@@ -540,8 +529,6 @@ def test_orient_cpdag_composes_imported_and_queried_arcs(gateway_factory):
         )
         graph = orient_cpdag(pdag, text, gateway)
         assert {arc.pair for arc in graph.arcs} == {("a", "b"), queried}
-        assert graph.arc("a", "b").provenance is Provenance.IMPORTED
-        assert graph.arc(*queried).provenance is Provenance.LLM_VERDICT
 
 
 def test_orient_cpdag_zero_queries_when_fully_directed(gateway_factory):

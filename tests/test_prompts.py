@@ -3,7 +3,7 @@ from __future__ import annotations
 import string
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causaltext import evaluation, prompts
@@ -22,7 +22,7 @@ from causaltext.prompts import (
     render_orientation_prompt,
     render_reask_prompt,
 )
-from conftest import DATA_DIR
+from helpers import DATA_DIR
 from synth import benchmark_with_scripted_replies
 
 COBALT_SENTENCE = (
@@ -105,10 +105,11 @@ def test_identical_inputs_identical_fingerprint():
 
 
 def test_question_requires_entities_in_text():
+    # enumerate_pairs locates the entities; the question itself searches nothing
     fume = Entity(id="fume", canonical_label="fume", first_offset=0)
     absent = Entity(id="smoke", canonical_label="smoke", first_offset=1)
     with pytest.raises(EntityNotInTextError):
-        OrientationQuestion.from_pair(COBALT_SENTENCE, fume, absent)
+        enumerate_pairs([fume, absent], COBALT_SENTENCE)
 
 
 def test_question_requires_distinct_entities():
@@ -130,29 +131,23 @@ def test_reask_prompt_appends_reminder_and_changes_fingerprint():
 
 
 def test_parse_verdict_examples():
-    assert parse_verdict("analysis first\n<Answer>A</Answer>").verdict is Verdict.FORWARD
-    assert parse_verdict("<Answer>a</Answer>").verdict is Verdict.FORWARD
-    assert parse_verdict("<Answer> B </Answer>").verdict is Verdict.BACKWARD
-    assert parse_verdict("<Answer>C</Answer>").verdict is Verdict.NO_RELATION
+    assert parse_verdict("analysis first\n<Answer>A</Answer>") is Verdict.FORWARD
+    assert parse_verdict("<Answer>a</Answer>") is Verdict.FORWARD
+    assert parse_verdict("<Answer> B </Answer>") is Verdict.BACKWARD
+    assert parse_verdict("<Answer>C</Answer>") is Verdict.NO_RELATION
 
 
 def test_parse_verdict_last_tag_wins():
-    parsed = parse_verdict("<Answer>B</Answer> but on reflection <Answer>C</Answer>")
-    assert parsed.verdict is Verdict.NO_RELATION
-    assert parsed.rationale_text == "<Answer>B</Answer> but on reflection "
+    verdict = parse_verdict("<Answer>B</Answer> but on reflection <Answer>C</Answer>")
+    assert verdict is Verdict.NO_RELATION
 
 
 def test_parse_verdict_unparsable_cases():
-    assert parse_verdict("").verdict is Verdict.UNPARSABLE
-    assert parse_verdict("no tags at all").verdict is Verdict.UNPARSABLE
-    assert parse_verdict("<Answer>D</Answer>").verdict is Verdict.UNPARSABLE
-    assert parse_verdict("<Answer></Answer>").verdict is Verdict.UNPARSABLE
-    assert parse_verdict("<Answer>A").verdict is Verdict.UNPARSABLE
-
-
-def test_parse_verdict_rationale_is_full_text_without_tag():
-    reply = "thinking about it"
-    assert parse_verdict(reply).rationale_text == reply
+    assert parse_verdict("") is Verdict.UNPARSABLE
+    assert parse_verdict("no tags at all") is Verdict.UNPARSABLE
+    assert parse_verdict("<Answer>D</Answer>") is Verdict.UNPARSABLE
+    assert parse_verdict("<Answer></Answer>") is Verdict.UNPARSABLE
+    assert parse_verdict("<Answer>A") is Verdict.UNPARSABLE
 
 
 def test_parse_verdict_single_characters_exhaustively():
@@ -165,15 +160,15 @@ def test_parse_verdict_single_characters_exhaustively():
         }.get(char, Verdict.UNPARSABLE)
         if char.isspace():
             expected = Verdict.UNPARSABLE
-        assert parsed.verdict is expected, char
+        assert parsed is expected, char
 
 
 @given(st.text(max_size=200))
 @settings(max_examples=300, deadline=None)
 def test_parse_verdict_is_total(reply):
     parsed = parse_verdict(reply)
-    assert parsed.verdict in set(Verdict)
-    tagged = parsed.verdict in (Verdict.FORWARD, Verdict.BACKWARD, Verdict.NO_RELATION)
+    assert parsed in set(Verdict)
+    tagged = parsed in (Verdict.FORWARD, Verdict.BACKWARD, Verdict.NO_RELATION)
     assert tagged == ("<answer>" in reply.lower() and "</answer>" in reply.lower()) or not tagged
 
 
@@ -277,16 +272,17 @@ def counting_full_searches(monkeypatch) -> list[str]:
 
 
 def test_question_with_stale_offset_falls_back_to_full_search(monkeypatch):
+    # enumerate_pairs searches the whole text for each entity, stale offset or not
     searched = counting_full_searches(monkeypatch)
     text = "Heavy rain preceded the flood and the landslide."
     rain = Entity(id="rain", canonical_label="rain", first_offset=0)
     flood = Entity(id="flood", canonical_label="flood", first_offset=text.index("flood"))
-    question = OrientationQuestion.from_pair(text, rain, flood)
+    (question,) = enumerate_pairs([rain, flood], text)
     assert question.pair_key == ("rain", "flood")
-    assert searched == ["rain"]
+    assert searched == ["rain", "flood"]
     absent = Entity(id="drought", canonical_label="drought", first_offset=6)
     with pytest.raises(EntityNotInTextError):
-        OrientationQuestion.from_pair(text, absent, flood)
+        enumerate_pairs([absent, flood], text)
 
 
 def test_question_accepts_form_wrapped_across_lines_at_its_offset(monkeypatch):
@@ -300,63 +296,17 @@ def test_question_accepts_form_wrapped_across_lines_at_its_offset(monkeypatch):
     assert searched == []
 
 
-def test_enumerate_pairs_over_located_entities_searches_nothing(monkeypatch):
+def test_enumerate_pairs_searches_once_per_entity(monkeypatch):
     searched = counting_full_searches(monkeypatch)
     names = [f"factor{i:02d}" for i in range(8)]
     text = "The study followed " + ", ".join(names) + " across the cohort."
     located = [Entity(id=n, canonical_label=n, first_offset=text.index(n)) for n in names]
     assert len(enumerate_pairs(located, text)) == 28
-    assert searched == []
-    # the counter sees the fallback: with every offset stale, each pair searches twice
+    assert searched == names
     stale = [Entity(id=n, canonical_label=n, first_offset=1) for n in names]
+    searched.clear()
     enumerate_pairs(stale, text)
-    assert len(searched) == 2 * 28
-
-
-# letters whose case mapping changes length or crosses scripts, regex
-# metacharacters and several kinds of whitespace
-_OFFSET_ALPHABET = "aAbBzZiIİıßẞſsSKkK\u0307éÉΣσς.*+?()[]^$|\\ \t\n\u00a0\u2003"
-
-
-@st.composite
-def text_form_offset(draw) -> tuple[str, str, int]:
-    """A text, a surface form and an offset; often the form's literal sits there."""
-    tokens = draw(st.lists(st.text(_OFFSET_ALPHABET, min_size=1, max_size=4),
-                           min_size=1, max_size=3))
-    gaps = draw(st.lists(st.sampled_from([" ", "  ", "\t", "\n ", "\u00a0"]),
-                         min_size=len(tokens) - 1, max_size=len(tokens) - 1))
-    form = "".join(token + gap for token, gap in zip(tokens, gaps + [""]))
-    form = draw(st.sampled_from([form, " " + form, form + "\n"]))
-    prefix = draw(st.text(_OFFSET_ALPHABET, max_size=6))
-    suffix = draw(st.text(_OFFSET_ALPHABET, max_size=6))
-    middle = draw(st.sampled_from([
-        " ".join(form.split()),
-        "\n".join(form.split()),
-        "".join(form.split()),
-        " ".join(form.split()).upper(),
-        draw(st.text(_OFFSET_ALPHABET, max_size=8)),
-    ]))
-    text = prefix + middle + suffix
-    offset = draw(st.sampled_from([len(prefix), draw(st.integers(0, len(text) + 2))]))
-    return text, form, offset
-
-
-@given(text_form_offset())
-@example(("İab", "a", 2))  # lowercasing the text would shift "b" to offset 3
-@example(("x Beta\n cell", "beta  cell", 2))
-@settings(max_examples=500, deadline=None)
-def test_literal_offset_hit_implies_anchored_pattern_hit(case):
-    text, form, offset = case
-    literal = " ".join(form.split())
-    pattern = prompts._form_pattern(form)
-    anchored = bool(pattern and pattern.match(text, offset))
-    if literal and text.startswith(literal, offset):
-        assert anchored
-    # so the literal step leaves the accepted set as the anchored rule has it;
-    # the label "x" is outside the alphabet and never matches
-    entity = Entity(id="x", canonical_label="x", surface_forms=frozenset({form}),
-                    first_offset=offset)
-    assert prompts._occurs_at_first_offset(text, entity) == anchored
+    assert searched == names
 
 
 def test_eval_benchmark_questions_compile_no_pattern(monkeypatch):
@@ -373,12 +323,6 @@ def test_eval_benchmark_questions_compile_no_pattern(monkeypatch):
     questions = [evaluation._record_question(record) for record in records]
     assert len(questions) == 1005
     assert built == []
-    # the counter sees the anchored fallback: a capitalised form off its literal
-    text = "Heavy Rain preceded the flood."
-    rain = Entity(id="rain", canonical_label="rain", first_offset=6)
-    flood = Entity(id="flood", canonical_label="flood", first_offset=text.index("flood"))
-    OrientationQuestion.from_pair(text, rain, flood)
-    assert built == ["rain"]
 
 
 def test_rendered_prompt_create_matches_manual_fingerprint():
