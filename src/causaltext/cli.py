@@ -40,7 +40,21 @@ from .pipeline import PipelineConfig, run_pipeline, run_report
 
 ENV_PREFIX = "CAUSALTEXT"
 
-# config key -> (JSON type, config class, field); a None class is a Settings field
+
+@dataclass
+class Settings:
+    provider: ProviderConfig
+    pipeline: PipelineConfig
+    replay_path: str | None
+    record_path: str | None
+    domain_hint: str = ""
+    out_dir: Path = Path(".")
+
+    def __post_init__(self) -> None:
+        self.out_dir = Path(self.out_dir)
+
+
+# config key -> (JSON type, config class, field)
 _KEYS = {
     "model": (str, ProviderConfig, "model_name"),
     "endpoint": (str, ProviderConfig, "endpoint_url"),
@@ -52,8 +66,8 @@ _KEYS = {
     "api_key_env": (str, ProviderConfig, "api_key_env"),
     "entity_cap": (int, PipelineConfig, "entity_cap"),
     "enforce_acyclic": (bool, PipelineConfig, "enforce_acyclic"),
-    "domain_hint": (str, None, "domain_hint"),
-    "out": (str, None, "out_dir"),
+    "domain_hint": (str, Settings, "domain_hint"),
+    "out": (str, Settings, "out_dir"),
 }
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
@@ -101,16 +115,6 @@ def _setting(name, flag_value, file_config):
     return kind(env_value)
 
 
-@dataclass
-class Settings:
-    provider: ProviderConfig
-    pipeline: PipelineConfig
-    domain_hint: str
-    replay_path: str | None
-    record_path: str | None
-    out_dir: Path
-
-
 def _resolve_settings(
     config_path=None,
     replay=None,
@@ -128,7 +132,7 @@ def _resolve_settings(
     flags = {"model": model, "parallelism": parallelism, "entity_cap": entity_cap,
              "enforce_acyclic": enforce_acyclic or None, "out": out,
              "domain_hint": domain_hint}
-    fields: dict = {ProviderConfig: {}, PipelineConfig: {}, None: {}}
+    fields: dict = {ProviderConfig: {}, PipelineConfig: {}, Settings: {}}
     try:
         for name, (_, owner, field_name) in _KEYS.items():
             value = _setting(name, flags.get(name), file_config)
@@ -138,14 +142,7 @@ def _resolve_settings(
         pipeline = PipelineConfig(**fields[PipelineConfig])
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
-    return Settings(
-        provider=provider,
-        pipeline=pipeline,
-        domain_hint=fields[None].get("domain_hint", ""),
-        replay_path=replay,
-        record_path=record,
-        out_dir=Path(fields[None].get("out_dir", ".")),
-    )
+    return Settings(provider, pipeline, replay, record, **fields[Settings])
 
 
 @contextmanager

@@ -113,7 +113,9 @@ def extract_entities(
     singles = (frozenset({span}) for span in listing.entities if span not in grouped)
     entities: list[Entity] = []
     for cluster in (*listing.merge_groups, *singles):
-        located = sorted((offsets[m], m) for m in cluster if offsets[m] is not None)
+        located = sorted(
+            (offset, m) for m in cluster if (offset := offsets.get(m)) is not None
+        )
         if not located:
             log.warning("dropping %s: does not occur in the text", sorted(cluster))
             continue
@@ -405,11 +407,12 @@ def orient_cpdag(
 ) -> CausalGraph:
     """Orient the undirected edges of a discovery output against a text.
 
-    Already-directed arcs pass through untouched and cost zero queries. Every endpoint of an undirected edge is located in the
-    text once, before the first query. Each undirected edge is then asked
-    once, up to the gateway's parallelism at a time; NoRelation or a
-    still-unparsable reply drops the edge with a warning, since the discovery
-    algorithm asserted adjacency but the text did not confirm a direction.
+    Already-directed arcs pass through untouched and cost zero queries.
+    Every endpoint of an undirected edge is located in the text once, before
+    the first query. Each undirected edge is then asked once, up to the
+    gateway's parallelism at a time; NoRelation or a still-unparsable reply
+    drops the edge with a warning, since the discovery algorithm asserted
+    adjacency but the text did not confirm a direction.
     """
     by_id = {entity.id: entity for entity in pdag.entities}
     located: dict[str, Entity] = {}

@@ -42,6 +42,7 @@ from causaltext.pipeline import (
 from causaltext.prompts import (
     OrientationQuestion,
     Verdict,
+    parse_entity_list,
     render_entity_prompt,
     render_orientation_prompt,
     render_reask_prompt,
@@ -117,6 +118,21 @@ def test_extract_entities_drops_unlocatable_spans(gateway_factory, caplog):
         entities = extract_entities(source_text, "", gateway)
     assert [e.canonical_label for e in entities] == ["stress", "blood pressure"]
     assert any("unicorns" in record.message for record in caplog.records)
+
+
+def test_extract_entities_locates_group_whose_member_is_no_listed_span(gateway_factory):
+    # the unclosed first tag swallows "fume", yet the group scan still yields it
+    source_text = "Smoke and gas fill the room."
+    reply = "<Entity>smoke <Group><Entity>fume</Entity><Entity>gas</Entity></Group>"
+    assert "fume" not in parse_entity_list(reply).entities
+    prompt = render_entity_prompt(source_text, "")
+    gateway, _ = gateway_factory(
+        ReplayFixture(entries={prompt.fingerprint: ReplayEntry(reply)})
+    )
+    (entity,) = extract_entities(source_text, "", gateway)
+    assert entity.canonical_label == "gas"
+    assert entity.surface_forms == frozenset({"fume", "gas"})
+    assert entity.first_offset == source_text.index("gas")
 
 
 def test_extract_entities_enforces_cap_keeping_earliest(gateway_factory, caplog):

@@ -286,14 +286,16 @@ def test_question_with_stale_offset_falls_back_to_full_search(monkeypatch):
 
 
 def test_question_accepts_form_wrapped_across_lines_at_its_offset(monkeypatch):
+    # enumerate_pairs locates the wrapped form with one search and keeps the pair
     searched = counting_full_searches(monkeypatch)
     text = "Damage to the beta\n   cell population lowers insulin output."
     beta = Entity(id="beta cell", canonical_label="beta cell",
                   first_offset=text.index("beta"))
     insulin = Entity(id="insulin", canonical_label="insulin",
                      first_offset=text.index("insulin"))
-    OrientationQuestion.from_pair(text, beta, insulin)
-    assert searched == []
+    (question,) = enumerate_pairs([beta, insulin], text)
+    assert question.pair_key == ("beta cell", "insulin")
+    assert searched == ["beta cell", "insulin"]
 
 
 def test_enumerate_pairs_searches_once_per_entity(monkeypatch):
