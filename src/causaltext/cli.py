@@ -103,8 +103,11 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _setting(name, flag_value, file_config):
-    """Apply the flags > environment > file precedence; None when none is set."""
-    if flag_value is not None:
+    """Apply the flags > environment > file precedence; None when none is set.
+
+    A ``False`` flag is a switch left off, so it is unset too.
+    """
+    if flag_value is not None and flag_value is not False:
         return flag_value
     env_value = os.environ.get(f"{ENV_PREFIX}_{name.upper()}")
     if env_value is None:
@@ -115,23 +118,11 @@ def _setting(name, flag_value, file_config):
     return kind(env_value)
 
 
-def _resolve_settings(
-    config_path=None,
-    replay=None,
-    record=None,
-    model=None,
-    parallelism=None,
-    entity_cap=None,
-    enforce_acyclic=False,
-    out=None,
-    domain_hint=None,
-) -> Settings:
+def _resolve_settings(config_path=None, replay=None, record=None, **flags) -> Settings:
+    """Settings from the flags (named by their config keys), environment and file."""
     if replay and record:
         raise ConfigurationError("--replay and --record are mutually exclusive")
     file_config = _load_config_file(config_path)
-    flags = {"model": model, "parallelism": parallelism, "entity_cap": entity_cap,
-             "enforce_acyclic": enforce_acyclic or None, "out": out,
-             "domain_hint": domain_hint}
     fields: dict = {ProviderConfig: {}, PipelineConfig: {}, Settings: {}}
     try:
         for name, (_, owner, field_name) in _KEYS.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 from .errors import EmptyEvaluationSetError, ParseError
 from .gateway import Gateway
 from .graph import (
-    ArcFlag,
     CausalGraph,
     GraphComparison,
     GraphKind,
@@ -337,27 +336,8 @@ def run_pairwise_eval(
     return compute_report(confusion)
 
 
-def compare_with_transitive_share(
-    extracted: CausalGraph, truth: CausalGraph
-) -> GraphComparison:
-    """Compare graphs and report the suspected-transitive share of the FPs."""
-    comparison = compare_graphs(extracted, truth)
-    if not comparison.false_positive_arcs:
-        return comparison
-    labels_to_arc = {
-        (
-            extracted.entity(arc.cause).canonical_label,
-            extracted.entity(arc.effect).canonical_label,
-        ): arc
-        for arc in extracted.arcs
-    }
-    flagged = sum(
-        1
-        for pair in comparison.false_positive_arcs
-        if ArcFlag.SUSPECTED_TRANSITIVE in labels_to_arc[pair].flags
-    )
-    share = Fraction(flagged, len(comparison.false_positive_arcs))
-    return replace(comparison, transitive_fp_share=share)
+# The benchmark wraps and calls this name; compare_graphs fills the share itself.
+compare_with_transitive_share = compare_graphs
 
 
 def evaluate_graph_run(run: PipelineRun, truth: CausalGraph) -> GraphComparison:

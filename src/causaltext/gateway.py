@@ -98,12 +98,11 @@ class ChatExchange:
     retries: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError("latency must be >= 0")
+        _checked_latency(self.latency)
 
 
 def _checked_latency(value: object) -> float:
-    """A stored latency: a finite number >= 0, else :class:`ValueError`."""
+    """A latency: a finite number >= 0, else :class:`ValueError`."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number and math.isfinite(value) and value >= 0):
         raise ValueError(f"latency must be a finite number >= 0, not {value!r}")

@@ -163,18 +163,11 @@ class CausalGraph:
         """
         if not isinstance(other, CausalGraph):
             return NotImplemented
-        mine = {
-            e.id: (e.canonical_label, e.surface_forms) for e in self._entities.values()
-        }
-        theirs = {
-            e.id: (e.canonical_label, e.surface_forms)
-            for e in other._entities.values()
-        }
-        if mine != theirs:
-            return False
-        my_arcs = {pair: frozenset(arc.flags) for pair, arc in self._arcs.items()}
-        their_arcs = {pair: frozenset(arc.flags) for pair, arc in other._arcs.items()}
-        return my_arcs == their_arcs
+        return self._structure() == other._structure()
+
+    def _structure(self) -> tuple[dict, dict]:
+        entities = {e.id: (e.canonical_label, e.surface_forms) for e in self._entities.values()}
+        return entities, {pair: frozenset(arc.flags) for pair, arc in self._arcs.items()}
 
     def __repr__(self) -> str:
         return (
@@ -355,7 +348,7 @@ class GraphComparison:
     precision: Fraction
     recall: Fraction
     f1: Fraction
-    transitive_fp_share: Fraction | None = None
+    transitive_fp_share: Fraction | None
 
     def to_dict(self) -> dict:
         return {
@@ -384,10 +377,12 @@ def prf(tp: int, fp: int, fn: int) -> tuple[Fraction, Fraction, Fraction]:
     return precision, recall, f1
 
 
-def _label_pairs(graph: CausalGraph) -> frozenset[tuple[str, str]]:
+def _label_pairs(graph: CausalGraph, flag: ArcFlag | None = None) -> frozenset[tuple[str, str]]:
+    """The arcs as (cause, effect) canonical labels; with ``flag``, only arcs carrying it."""
     return frozenset(
         (graph.entity(arc.cause).canonical_label, graph.entity(arc.effect).canonical_label)
         for arc in graph.arcs
+        if flag is None or flag in arc.flags
     )
 
 
@@ -399,13 +394,15 @@ def compare_graphs(extracted: CausalGraph, truth: CausalGraph) -> GraphCompariso
     fp = extracted_pairs - truth_pairs
     fn = truth_pairs - extracted_pairs
     precision, recall, f1 = prf(len(tp), len(fp), len(fn))
+    transitive = fp & _label_pairs(extracted, ArcFlag.SUSPECTED_TRANSITIVE)
     return GraphComparison(
-        true_positive_arcs=frozenset(tp),
-        false_positive_arcs=frozenset(fp),
-        false_negative_arcs=frozenset(fn),
+        true_positive_arcs=tp,
+        false_positive_arcs=fp,
+        false_negative_arcs=fn,
         precision=precision,
         recall=recall,
         f1=f1,
+        transitive_fp_share=Fraction(len(transitive), len(fp)) if fp else None,
     )
 
 

@@ -15,12 +15,11 @@ import logging
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
     CausalTextError,
-    EntityNotInTextError,
     GraphFileError,
     NoEntitiesFoundError,
     PipelineStageError,
@@ -33,6 +32,7 @@ from .graph import (
     CycleReport,
     Entity,
     GraphKind,
+    _entity_record,
     _field,
     _parse_arc_record,
     _parse_entity_record,
@@ -43,6 +43,7 @@ from .graph import (
 from .prompts import (
     OrientationQuestion,
     Verdict,
+    document_order,
     entity_offset,
     find_first_offset,
     oriented,
@@ -127,7 +128,7 @@ def extract_entities(
 
     if not entities:
         raise NoEntitiesFoundError("no extracted entity could be located in the text")
-    entities.sort(key=lambda e: (e.first_offset, e.canonical_label))
+    entities.sort(key=document_order)
     if len(entities) > entity_cap:
         log.warning(
             "entity cap %d reached; dropping %d later entities",
@@ -151,22 +152,12 @@ def enumerate_pairs(
     if len(entities) < 2:
         raise TooFewEntitiesError("pair enumeration needs at least two entities")
     for entity in entities:
-        _require_in_text(source_text, entity)
-    ordered = sorted(entities, key=lambda e: (e.first_offset, e.canonical_label))
+        entity_offset(source_text, entity)
+    ordered = sorted(entities, key=document_order)
     return tuple(
         OrientationQuestion.from_pair(source_text, a, b)
         for a, b in combinations(ordered, 2)
     )
-
-
-def _require_in_text(source_text: str, entity: Entity) -> int:
-    """The earliest offset of ``entity`` in the text; raises when it is absent."""
-    offset = entity_offset(source_text, entity)
-    if offset is None:
-        raise EntityNotInTextError(
-            f"no surface form of {entity.canonical_label!r} occurs in the text"
-        )
-    return offset
 
 
 def _query_with_exchanges(
@@ -229,7 +220,6 @@ class RunStats:
 class PipelineRun:
     """Everything one document produced: entities, verdicts, graph, analyses."""
 
-    source_text: str
     entities: tuple[Entity, ...]
     verdicts: dict[PairKey, Verdict]
     graph: CausalGraph
@@ -314,7 +304,6 @@ def run_pipeline(
         ) from exc
 
     return PipelineRun(
-        source_text=source_text,
         entities=entities,
         verdicts=verdicts,
         graph=graph,
@@ -333,12 +322,7 @@ def run_report(run: PipelineRun) -> dict:
     """
     return {
         "entities": [
-            {
-                "id": entity.id,
-                "canonical_label": entity.canonical_label,
-                "surface_forms": sorted(entity.surface_forms),
-                "first_offset": entity.first_offset,
-            }
+            {**_entity_record(entity), "first_offset": entity.first_offset}
             for entity in run.entities
         ],
         "verdicts": [
@@ -356,9 +340,10 @@ def run_report(run: PipelineRun) -> dict:
 class PartiallyDirectedGraph:
     """Output of a causal-discovery algorithm: some arcs lack orientation.
 
-    Undirected edges are stored as unordered pairs (smaller id first). Each
-    unordered pair occurs at most once, as a directed arc or as an undirected
-    edge, so every malformed input fails here, before any query is paid for.
+    Undirected edges are stored as unordered pairs (smaller id first). All
+    pairs together must form a valid extracted :class:`CausalGraph`, so each
+    unordered pair occurs at most once and every malformed input fails here,
+    before any query is paid for.
     """
 
     entities: tuple[Entity, ...]
@@ -366,22 +351,16 @@ class PartiallyDirectedGraph:
     undirected_edges: tuple[PairKey, ...]
 
     def __post_init__(self) -> None:
-        CausalGraph(GraphKind.EXTRACTED, self.entities)  # unique ids and labels
-        ids = {entity.id for entity in self.entities}
         object.__setattr__(
             self,
             "undirected_edges",
             tuple(tuple(sorted(pair)) for pair in self.undirected_edges),
         )
-        seen: set[frozenset[str]] = set()
-        for a, b in (*self.directed_arcs, *self.undirected_edges):
-            if a == b:
-                raise ValueError(f"self-loop on {a!r}")
-            if not {a, b} <= ids:
-                raise ValueError(f"unknown endpoint in pair {a!r}, {b!r}")
-            if frozenset((a, b)) in seen:
-                raise ValueError(f"pair {a!r}, {b!r} occurs more than once")
-            seen.add(frozenset((a, b)))
+        pairs = (*self.directed_arcs, *self.undirected_edges)
+        try:
+            CausalGraph(GraphKind.EXTRACTED, self.entities, [Arc(*pair) for pair in pairs])
+        except CausalTextError as exc:
+            raise ValueError(str(exc)) from None
 
 
 def parse_pdag(text: str) -> PartiallyDirectedGraph:
@@ -415,18 +394,11 @@ def orient_cpdag(
     adjacency but the text did not confirm a direction.
     """
     by_id = {entity.id: entity for entity in pdag.entities}
-    located: dict[str, Entity] = {}
-
-    def locate(entity_id: str) -> Entity:
-        if entity_id not in located:
-            entity = by_id[entity_id]
-            offset = _require_in_text(source_text, entity)
-            located[entity_id] = replace(entity, first_offset=offset)
-        return located[entity_id]
-
     edges = sorted(pdag.undirected_edges)
+    endpoints = (by_id[i] for i in dict.fromkeys(chain.from_iterable(edges)))
+    located = {e.id: replace(e, first_offset=entity_offset(source_text, e)) for e in endpoints}
     questions = [
-        OrientationQuestion.from_pair(source_text, locate(a_id), locate(b_id))
+        OrientationQuestion.from_pair(source_text, located[a_id], located[b_id])
         for a_id, b_id in edges
     ]
     answers = fan_out(
@@ -434,15 +406,13 @@ def orient_cpdag(
         questions,
         gateway.config.parallelism,
     )
-    arcs = [Arc(cause, effect) for cause, effect in pdag.directed_arcs]
+    verdicts = dict.fromkeys(pdag.directed_arcs, Verdict.FORWARD)
     for (verdict, _), (a_id, b_id), question in zip(answers, edges, questions):
-        arc = oriented(question.pair_key, verdict)
-        if arc is None:
+        if oriented(question.pair_key, verdict) is None:
             log.warning(
                 "dropping undirected edge %r - %r: text did not confirm a direction",
                 a_id,
                 b_id,
             )
-            continue
-        arcs.append(Arc(*arc))
-    return CausalGraph(GraphKind.EXTRACTED, pdag.entities, arcs)
+        verdicts[question.pair_key] = verdict
+    return build_graph(pdag.entities, verdicts)

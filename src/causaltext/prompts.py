@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib.resources import files
 
-from .errors import EmptyTextError, NoEntitiesFoundError
+from .errors import EmptyTextError, EntityNotInTextError, NoEntitiesFoundError
 from .graph import Entity, normalize_label
 
 
@@ -65,14 +65,26 @@ def find_first_offset(source_text: str, surface_form: str) -> int | None:
     return match.start() if match else None
 
 
-def entity_offset(source_text: str, entity: Entity) -> int | None:
-    """Earliest offset over all surface forms of ``entity``."""
+def entity_offset(source_text: str, entity: Entity) -> int:
+    """Earliest offset over all surface forms of ``entity``.
+
+    Raises :class:`EntityNotInTextError` when no surface form occurs.
+    """
     offsets = [
         offset
         for form in entity.surface_forms
         if (offset := find_first_offset(source_text, form)) is not None
     ]
-    return min(offsets) if offsets else None
+    if not offsets:
+        raise EntityNotInTextError(
+            f"no surface form of {entity.canonical_label!r} occurs in the text"
+        )
+    return min(offsets)
+
+
+def document_order(entity: Entity) -> tuple[int, str]:
+    """Sort key of an entity in its document: first offset, then canonical label."""
+    return (entity.first_offset, entity.canonical_label)
 
 
 @dataclass(frozen=True)
@@ -97,9 +109,7 @@ class OrientationQuestion:
     @classmethod
     def from_pair(cls, source_text: str, first: Entity, second: Entity) -> "OrientationQuestion":
         """Build a question with the two entities in document order."""
-        ordered = sorted(
-            (first, second), key=lambda e: (e.first_offset, e.canonical_label)
-        )
+        ordered = sorted((first, second), key=document_order)
         return cls(source_text=source_text, entity_a=ordered[0], entity_b=ordered[1])
 
     @property

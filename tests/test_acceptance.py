@@ -318,7 +318,6 @@ def test_shortcut_pattern_precision_and_transitive_share():
         )
         assert ArcFlag.SUSPECTED_TRANSITIVE in extracted.arc("a", "c").flags
         run = PipelineRun(
-            source_text="",
             entities=extracted.entities,
             verdicts={},
             graph=extracted,

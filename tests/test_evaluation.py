@@ -297,7 +297,6 @@ def _shortcut_run() -> PipelineRun:
     )
     flag_transitive_candidates(graph)
     return PipelineRun(
-        source_text="",
         entities=tuple(entities),
         verdicts={},
         graph=graph,
