@@ -70,6 +70,8 @@ _KEYS = {
     "out": (str, Settings, "out_dir"),
 }
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_ENV_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
 
 
 class ConfigurationError(CausalTextError):
@@ -109,13 +111,19 @@ def _setting(name, flag_value, file_config):
     """
     if flag_value is not None and flag_value is not False:
         return flag_value
-    env_value = os.environ.get(f"{ENV_PREFIX}_{name.upper()}")
+    variable = f"{ENV_PREFIX}_{name.upper()}"
+    env_value = os.environ.get(variable)
     if env_value is None:
         return file_config.get(name)
     kind = _KEYS[name][0]
-    if kind is bool:
-        return env_value.strip().lower() in ("1", "true", "yes")
-    return kind(env_value)
+    if kind is not bool:
+        return kind(env_value)
+    word = env_value.strip().lower()
+    if word not in _ENV_BOOLEANS:
+        raise ConfigurationError(
+            f"{variable} must be one of {', '.join(_ENV_BOOLEANS)}, not {env_value!r}"
+        )
+    return _ENV_BOOLEANS[word]
 
 
 def _resolve_settings(config_path=None, replay=None, record=None, **flags) -> Settings:

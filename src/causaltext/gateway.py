@@ -321,7 +321,9 @@ class Gateway:
     """Front end combining a transport with retries and the persistent cache.
 
     With a ``record`` fixture, every exchange :meth:`cached_complete` returns,
-    from the cache or the transport, is added to it for a later replay.
+    from the cache or the transport, is added to it for a later replay. After
+    the first :class:`AuthError` the gateway sends nothing more: every later
+    call that would send raises that error instead.
     """
 
     def __init__(
@@ -335,6 +337,7 @@ class Gateway:
         self._record = record
         self._key_locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
         self._locks_guard = threading.Lock()
+        self._auth_error: AuthError | None = None
 
     @property
     def config(self) -> ProviderConfig:
@@ -349,6 +352,8 @@ class Gateway:
         """
         retries = 0
         while True:
+            if self._auth_error is not None:
+                raise AuthError(str(self._auth_error))
             try:
                 reply, latency = self._transport.send(prompt)
                 return ChatExchange(
@@ -359,6 +364,9 @@ class Gateway:
                     source=self._transport.source,
                     retries=retries,
                 )
+            except AuthError as exc:
+                self._auth_error = exc
+                raise
             except _TransientProviderError as exc:
                 retries += 1
                 if retries > self._config.max_retries:
@@ -376,7 +384,9 @@ class Gateway:
         The cache key includes model name and temperature. A corrupt entry
         (bad JSON or checksum mismatch) is logged and treated as a miss.
         Writes are atomic and serialized per key, so concurrent callers of
-        the same prompt trigger at most one provider call.
+        the same prompt trigger at most one provider call. An empty reply (a
+        non-strict replay miss) is returned but never cached, so a later run
+        asks again.
         """
         key = _cache_key(self._config, prompt)
         path = _cache_path(self._config.cache_dir, key)
@@ -388,7 +398,8 @@ class Gateway:
                 exchange = self._read_cache_entry(path, key, prompt)
                 if exchange is None:
                     exchange = self.complete(prompt)
-                    self._write_cache_entry(path, key, exchange)
+                    if exchange.reply_text:
+                        self._write_cache_entry(path, key, exchange)
         if self._record is not None:
             with self._locks_guard:
                 self._record.add(exchange)

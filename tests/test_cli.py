@@ -771,6 +771,29 @@ def test_settings_precedence_flags_env_file(tmp_path, monkeypatch):
     assert settings.provider.parallelism == 3
 
 
+# None: not a boolean word, so the run stops with exit 1
+ENV_BOOLEANS = [
+    ("1", True), ("true", True), ("Yes", True), ("on", True), ("ON", True), (" on\n", True),
+    ("0", False), ("false", False), ("No", False), ("off", False), ("OFF ", False),
+    ("maybe", None), ("enabled", None), ("2", None), ("", None),
+]
+
+
+@pytest.mark.parametrize("value, expected", ENV_BOOLEANS)
+def test_boolean_environment_values_are_checked(tmp_path, runner, monkeypatch, value, expected):
+    monkeypatch.setenv("CAUSALTEXT_ENFORCE_ACYCLIC", value)
+    if expected is None:
+        with pytest.raises(CausalTextError, match="CAUSALTEXT_ENFORCE_ACYCLIC must be one of"):
+            _resolve_settings()
+    else:
+        assert _resolve_settings().pipeline.enforce_acyclic is expected
+    result = runner.invoke(
+        main, ["cache", "stats"],
+        env=_env(tmp_path, CAUSALTEXT_ENFORCE_ACYCLIC=value), catch_exceptions=False,
+    )
+    assert result.exit_code == (1 if expected is None else 0), result.output
+
+
 # never cast: `bool("false")` is True, and `str(None)` names a directory "None"
 BAD_CONFIG_VALUES = [
     ("enforce_acyclic", "false"),

@@ -446,3 +446,37 @@ def test_live_unretryable_request_error_is_provider_unavailable(monkeypatch):
 def test_chat_exchange_rejects_negative_latency():
     with pytest.raises(ValueError):
         ChatExchange(prompt_for("q"), "r", "m", -1.0, ExchangeSource.LIVE)
+
+
+@pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+def test_chat_exchange_rejects_non_finite_latency(latency):
+    with pytest.raises(ValueError):
+        ChatExchange(prompt_for("q"), "r", "m", latency, ExchangeSource.LIVE)
+
+
+def test_gateway_sends_nothing_after_an_auth_error(tmp_path):
+    gateway, transport = _cached_gateway(
+        tmp_path, [AuthError("provider rejected the credential (401)"), "never sent"]
+    )
+    with pytest.raises(AuthError):
+        gateway.cached_complete(prompt_for("first"))
+    with pytest.raises(AuthError, match="rejected the credential"):
+        gateway.complete(prompt_for("another prompt"))
+    with pytest.raises(AuthError):
+        gateway.cached_complete(prompt_for("a third prompt"))
+    assert transport.calls == 1
+
+
+def test_empty_reply_is_returned_but_never_cached(tmp_path):
+    config = ProviderConfig(cache_dir=tmp_path / "cache")
+    prompt = prompt_for("a question the fixture lacks")
+    replay = Gateway(config, ReplayTransport(ReplayFixture(strict=False)))
+    assert replay.cached_complete(prompt).reply_text == ""
+    assert cache_stats(config.cache_dir)[0] == 0
+
+    transport = CountingTransport(ScriptedTransport(["<Answer>A</Answer>"]))
+    live = Gateway(config, transport)
+    exchange = live.cached_complete(prompt)
+    assert (exchange.source, exchange.reply_text) == (ExchangeSource.LIVE, "<Answer>A</Answer>")
+    assert transport.calls == 1
+    assert live.cached_complete(prompt).source is ExchangeSource.CACHE

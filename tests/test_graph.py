@@ -334,6 +334,7 @@ def test_compare_graphs_count_invariants_on_random_pairs():
     for _ in range(50):
         extracted = random_graph(rng, rng.randint(2, 6), rng.uniform(0.1, 0.5))
         truth = random_graph(rng, rng.randint(2, 6), rng.uniform(0.1, 0.5))
+        flag_transitive_candidates(extracted)
         comparison = compare_graphs(extracted, truth)
         # labels equal ids in these fixtures
         tp, fp, fn = brute_force_counts(arc_pairs(extracted), arc_pairs(truth))
@@ -342,6 +343,13 @@ def test_compare_graphs_count_invariants_on_random_pairs():
         assert len(comparison.false_negative_arcs) == fn
         assert tp + fn == len(truth.arcs)
         assert tp + fp == len(extracted.arcs)
+        nodes = [entity.id for entity in extracted.entities]
+        shadowed = sum(
+            brute_force_has_witness_path(nodes, arc_pairs(extracted), pair)
+            for pair in arc_pairs(extracted) - arc_pairs(truth)
+        )
+        expected_share = Fraction(shadowed, fp) if fp else None
+        assert comparison.transitive_fp_share == expected_share
 
 
 # --- serialization --------------------------------------------------------------------
