@@ -128,6 +128,8 @@ def _setting(name, flag_value, file_config):
 
 def _resolve_settings(config_path=None, replay=None, record=None, **flags) -> Settings:
     """Settings from the flags (named by their config keys), environment and file."""
+    if flags.keys() - _KEYS.keys():
+        raise TypeError(f"unknown settings: {sorted(flags.keys() - _KEYS.keys())}")
     if replay and record:
         raise ConfigurationError("--replay and --record are mutually exclusive")
     file_config = _load_config_file(config_path)

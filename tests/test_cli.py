@@ -875,6 +875,11 @@ def test_settings_reject_unknown_config_keys(tmp_path):
         )
 
 
+def test_settings_refuse_a_flag_that_is_no_config_key():
+    with pytest.raises(TypeError, match="modle"):
+        _resolve_settings(modle="flag-model")
+
+
 def test_settings_defaults_are_the_config_class_defaults(monkeypatch):
     for name in list(os.environ):
         if name.startswith("CAUSALTEXT_"):
