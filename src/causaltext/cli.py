@@ -20,7 +20,6 @@ import click
 
 from .errors import CausalTextError, RunLockHeldError
 from .evaluation import (
-    compare_with_transitive_share,
     parse_semeval,
     render_confusion_table,
     run_pairwise_eval,
@@ -35,7 +34,7 @@ from .gateway import (
     clear_cache,
     run_lock,
 )
-from .graph import GraphFormat, GraphKind, parse_graph, serialize_graph
+from .graph import GraphFormat, GraphKind, compare_graphs, parse_graph, serialize_graph
 from .pipeline import PipelineConfig, run_pipeline, run_report
 
 ENV_PREFIX = "CAUSALTEXT"
@@ -293,7 +292,7 @@ def eval_graph(run_path, truth_path, **options) -> None:
     except CausalTextError as exc:
         _fail(str(exc))
 
-    comparison = compare_with_transitive_share(extracted, truth)
+    comparison = compare_graphs(extracted, truth)
     _write(settings.out_dir / "graph_comparison.json",
            json.dumps(comparison.to_dict(), indent=2) + "\n")
     share = comparison.transitive_fp_share

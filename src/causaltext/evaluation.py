@@ -344,4 +344,4 @@ def evaluate_graph_run(run: PipelineRun, truth: CausalGraph) -> GraphComparison:
     """Score one pipeline run against its expert-annotated ground truth."""
     if truth.kind is not GraphKind.GROUND_TRUTH:
         raise ValueError("the reference graph must have kind GROUND_TRUTH")
-    return compare_with_transitive_share(run.graph, truth)
+    return compare_graphs(run.graph, truth)

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import networkx as nx
+from networkx.utils import pairwise
 
 from .errors import (
+    CausalTextError,
     CycleBudgetExceededError,
     GraphFileError,
     OppositeArcConflictError,
@@ -195,9 +199,11 @@ def _canonical_rotation(cycle: Sequence[str]) -> tuple[str, ...]:
     return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
 
 
-def _cycle_arcs(cycle: Sequence[str]) -> Iterator[tuple[str, str]]:
-    for index, cause in enumerate(cycle):
-        yield cause, cycle[(index + 1) % len(cycle)]
+def _digraph(graph: CausalGraph) -> nx.DiGraph:
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(entity.id for entity in graph.entities)
+    digraph.add_edges_from(arc.pair for arc in graph.arcs)
+    return digraph
 
 
 def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> CycleReport:
@@ -211,12 +217,8 @@ def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Cyc
     Raises :class:`CycleBudgetExceededError` past ``cycle_cap`` cycles, which
     signals pathological input rather than a normal extraction.
     """
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(entity.id for entity in graph.entities)
-    digraph.add_edges_from(arc.pair for arc in graph.arcs)
-
     cycles: list[tuple[str, ...]] = []
-    for cycle in nx.simple_cycles(digraph):
+    for cycle in nx.simple_cycles(_digraph(graph)):
         cycles.append(_canonical_rotation(cycle))
         if len(cycles) > cycle_cap:
             raise CycleBudgetExceededError(
@@ -225,7 +227,7 @@ def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Cyc
             )
     cycles.sort()
 
-    on_cycle = {pair for cycle in cycles for pair in _cycle_arcs(cycle)}
+    on_cycle = {pair for cycle in cycles for pair in pairwise(cycle, cyclic=True)}
     for arc in graph.arcs:
         if arc.pair in on_cycle:
             arc.flags.add(ArcFlag.ON_DIRECTED_CYCLE)
@@ -233,25 +235,6 @@ def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Cyc
             arc.flags.discard(ArcFlag.ON_DIRECTED_CYCLE)
 
     return CycleReport(tuple(cycles))
-
-
-def _reachable(
-    adjacency: dict[str, list[str]], start: str, target: str, skip: tuple[str, str]
-) -> bool:
-    """BFS reachability from ``start`` to ``target`` ignoring the arc ``skip``."""
-    frontier = [start]
-    seen = {start}
-    while frontier:
-        node = frontier.pop()
-        for successor in adjacency.get(node, ()):
-            if (node, successor) == skip:
-                continue
-            if successor == target:
-                return True
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return False
 
 
 def flag_transitive_candidates(graph: CausalGraph) -> tuple[Arc, ...]:
@@ -263,16 +246,16 @@ def flag_transitive_candidates(graph: CausalGraph) -> tuple[Arc, ...]:
     set itself never changes, because a shadowed arc may still be a genuine
     direct effect.
     """
-    adjacency: dict[str, list[str]] = {}
-    for arc in graph.arcs:
-        adjacency.setdefault(arc.cause, []).append(arc.effect)
+    digraph = _digraph(graph)
     flagged: list[Arc] = []
     for arc in graph.arcs:
-        if _reachable(adjacency, arc.cause, arc.effect, skip=arc.pair):
+        digraph.remove_edge(*arc.pair)
+        if nx.has_path(digraph, *arc.pair):
             arc.flags.add(ArcFlag.SUSPECTED_TRANSITIVE)
             flagged.append(arc)
         else:
             arc.flags.discard(ArcFlag.SUSPECTED_TRANSITIVE)
+        digraph.add_edge(*arc.pair)
     return tuple(flagged)
 
 
@@ -303,13 +286,10 @@ def enforce_acyclicity(
         report = detect_cycles(work, cycle_cap=cycle_cap)
     if report.is_acyclic:
         return work, ()
-    cycles = [set(_cycle_arcs(cycle)) for cycle in report.cycles]
+    cycles = [set(pairwise(cycle, cyclic=True)) for cycle in report.cycles]
     removed: list[Arc] = []
     while cycles:
-        coverage: dict[tuple[str, str], int] = {}
-        for cycle in cycles:
-            for pair in cycle:
-                coverage[pair] = coverage.get(pair, 0) + 1
+        coverage = Counter(chain.from_iterable(cycles))
         victim_pair = min(
             coverage,
             key=lambda pair: (
@@ -499,15 +479,61 @@ def _parse_arc_record(record: object) -> Arc:
         raise GraphFileError(str(exc)) from None
 
 
-def parse_graph(text: str, kind: GraphKind = GraphKind.EXTRACTED) -> CausalGraph:
-    """Parse a structured graph file (the inverse of STRUCTURED serialization)."""
+def _load_json(text: str) -> object:
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFileError(f"not valid JSON: {exc}") from None
+
+
+def parse_graph(text: str, kind: GraphKind = GraphKind.EXTRACTED) -> CausalGraph:
+    """Parse a structured graph file (the inverse of STRUCTURED serialization)."""
+    payload = _load_json(text)
     entities = [_parse_entity_record(r) for r in _field(payload, "entities", list)]
     arcs = [_parse_arc_record(r) for r in _field(payload, "arcs", list)]
     try:
         return CausalGraph(kind, entities, arcs)
     except (UnknownEntityError, OppositeArcConflictError, ValueError) as exc:
+        raise GraphFileError(str(exc)) from None
+
+
+@dataclass(frozen=True)
+class PartiallyDirectedGraph:
+    """Output of a causal-discovery algorithm: some arcs lack orientation.
+
+    Undirected edges are stored as unordered pairs (smaller id first). All
+    pairs together must form a valid extracted :class:`CausalGraph`, so each
+    unordered pair occurs at most once and every malformed input fails here,
+    before any query is paid for.
+    """
+
+    entities: tuple[Entity, ...]
+    directed_arcs: tuple[tuple[str, str], ...]
+    undirected_edges: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "undirected_edges",
+            tuple(tuple(sorted(pair)) for pair in self.undirected_edges),
+        )
+        pairs = (*self.directed_arcs, *self.undirected_edges)
+        try:
+            CausalGraph(GraphKind.EXTRACTED, self.entities, [Arc(*pair) for pair in pairs])
+        except CausalTextError as exc:
+            raise ValueError(str(exc)) from None
+
+
+def parse_pdag(text: str) -> PartiallyDirectedGraph:
+    """Parse a structured graph file extended with an ``undirected`` list."""
+    payload = _load_json(text)
+    entities = tuple(_parse_entity_record(r) for r in _field(payload, "entities", list))
+    directed = tuple(_parse_arc_record(r).pair for r in _field(payload, "arcs", list, []))
+    undirected = tuple(
+        (_field(r, "a", str), _field(r, "b", str))
+        for r in _field(payload, "undirected", list, [])
+    )
+    try:
+        return PartiallyDirectedGraph(entities, directed, undirected)
+    except ValueError as exc:
         raise GraphFileError(str(exc)) from None

@@ -10,7 +10,6 @@ order, so a replayed run is deterministic at any parallelism.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,6 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import (
     CausalTextError,
-    GraphFileError,
     NoEntitiesFoundError,
     PipelineStageError,
     TooFewEntitiesError,
@@ -32,10 +30,8 @@ from .graph import (
     CycleReport,
     Entity,
     GraphKind,
+    PartiallyDirectedGraph,
     _entity_record,
-    _field,
-    _parse_arc_record,
-    _parse_entity_record,
     detect_cycles,
     enforce_acyclicity,
     flag_transitive_candidates,
@@ -334,51 +330,6 @@ def run_report(run: PipelineRun) -> dict:
         "removed_arcs": [[arc.cause, arc.effect] for arc in run.removed_arcs],
         "stats": dataclasses.asdict(run.stats),
     }
-
-
-@dataclass(frozen=True)
-class PartiallyDirectedGraph:
-    """Output of a causal-discovery algorithm: some arcs lack orientation.
-
-    Undirected edges are stored as unordered pairs (smaller id first). All
-    pairs together must form a valid extracted :class:`CausalGraph`, so each
-    unordered pair occurs at most once and every malformed input fails here,
-    before any query is paid for.
-    """
-
-    entities: tuple[Entity, ...]
-    directed_arcs: tuple[PairKey, ...]
-    undirected_edges: tuple[PairKey, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "undirected_edges",
-            tuple(tuple(sorted(pair)) for pair in self.undirected_edges),
-        )
-        pairs = (*self.directed_arcs, *self.undirected_edges)
-        try:
-            CausalGraph(GraphKind.EXTRACTED, self.entities, [Arc(*pair) for pair in pairs])
-        except CausalTextError as exc:
-            raise ValueError(str(exc)) from None
-
-
-def parse_pdag(text: str) -> PartiallyDirectedGraph:
-    """Parse a structured graph file extended with an ``undirected`` list."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFileError(f"not valid JSON: {exc}") from None
-    entities = tuple(_parse_entity_record(r) for r in _field(payload, "entities", list))
-    directed = tuple(_parse_arc_record(r).pair for r in _field(payload, "arcs", list, []))
-    undirected = tuple(
-        (_field(r, "a", str), _field(r, "b", str))
-        for r in _field(payload, "undirected", list, [])
-    )
-    try:
-        return PartiallyDirectedGraph(entities, directed, undirected)
-    except ValueError as exc:
-        raise GraphFileError(str(exc)) from None
 
 
 def orient_cpdag(

@@ -28,9 +28,9 @@ from causaltext.graph import (
     flag_transitive_candidates,
     normalize_label,
     parse_graph,
+    parse_pdag,
     serialize_graph,
 )
-from causaltext.pipeline import parse_pdag
 from fractions import Fraction
 
 from oracles import (

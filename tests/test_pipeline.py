@@ -25,16 +25,16 @@ from causaltext.graph import (
     CausalGraph,
     Entity,
     GraphFormat,
+    PartiallyDirectedGraph,
+    parse_pdag,
     serialize_graph,
 )
 from causaltext.pipeline import (
-    PartiallyDirectedGraph,
     PipelineConfig,
     build_graph,
     enumerate_pairs,
     extract_entities,
     orient_cpdag,
-    parse_pdag,
     query_orientation,
     run_pipeline,
     run_report,
