@@ -94,7 +94,7 @@ class PipelineStageError(CausalTextError):
     ``completed_stage`` names the last stage that finished (``None`` when the
     first stage failed). ``partial`` carries the results gathered so far
     under ``entities``, ``questions``, ``verdicts`` and ``graph``; after a
-    failing orientation query ``verdicts`` holds those merged before it.
+    failing orientation query ``verdicts`` holds every verdict paid for.
     """
 
     def __init__(self, message: str, completed_stage: str | None, partial: dict):

@@ -72,8 +72,8 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 0")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.requests_per_minute <= 0:
-            raise ValueError("requests_per_minute must be positive")
+        if not (math.isfinite(self.requests_per_minute) and self.requests_per_minute > 0):
+            raise ValueError("requests_per_minute must be a finite number > 0")
         url = urlsplit(self.endpoint_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint {self.endpoint_url!r} is not an http(s) URL")
@@ -418,6 +418,8 @@ class Gateway:
         try:
             record = json.loads(raw)
             reply = record["reply_text"]
+            if not isinstance(reply, str):
+                raise ValueError("reply_text is not a string")
             if record["key"] != key or record["checksum"] != _checksum(reply):
                 raise ValueError("checksum or key mismatch")
             latency = _checked_latency(record["latency"])

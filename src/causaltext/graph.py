@@ -457,11 +457,13 @@ def _field(record: object, key: str, kind: type, default: object = _REQUIRED):
 
 def _parse_entity_record(record: object) -> Entity:
     forms = _field(record, "surface_forms", list, [])
+    if not all(isinstance(form, str) for form in forms):
+        raise GraphFileError(f"'surface_forms' must hold strings, not {forms!r}")
     try:
         return Entity(
             id=_field(record, "id", str),
             canonical_label=_field(record, "canonical_label", str),
-            surface_forms=frozenset(str(form) for form in forms),
+            surface_forms=frozenset(forms),
         )
     except ValueError as exc:
         raise GraphFileError(str(exc)) from None

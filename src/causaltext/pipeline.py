@@ -57,21 +57,40 @@ DEFAULT_ENTITY_CAP = 20
 PairKey = tuple[str, str]
 
 
+class _Skipped(Exception):
+    """A pooled call not made because an earlier call had already failed."""
+
+
 def fan_out(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
     """Yield ``fn(item)`` for every item, in input order, on ``parallelism`` threads.
 
     At parallelism 1 the calls run lazily on the consumer's thread, one per
-    result read, so no call starts after the first exception. Larger values
-    use a thread pool: the first exception propagates to the consumer and
-    cancels every call that has not started yet; calls already running are
-    awaited. Put the generator first in a ``zip`` so the pool shuts down
-    once the last result has been read.
+    result read. Larger values use a thread pool, and a call that would
+    start after another has raised is skipped. Either way no call starts
+    after the first exception, which reaches the consumer once the calls
+    already running have returned. Put the generator first in a ``zip`` so
+    the pool shuts down once the last result has been read.
     """
     if parallelism == 1:
         yield from map(fn, items)
         return
+    failures: list[Exception] = []
+
+    def guarded(item):
+        if failures:
+            raise _Skipped
+        try:
+            return fn(item)
+        except Exception as exc:
+            failures.append(exc)
+            raise
+
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        yield from pool.map(fn, items)
+        try:
+            yield from pool.map(guarded, items)
+        except _Skipped:
+            # a call dequeued before the failure may be skipped ahead of it in input order
+            raise failures[0] from None
 
 
 @dataclass(frozen=True)
@@ -256,8 +275,8 @@ def run_pipeline(
     optional acyclicity enforcement. ``domain_hint`` steers only the entity
     prompt. Any :class:`CausalTextError` from a stage is re-raised as
     :class:`PipelineStageError` naming the last completed stage and carrying
-    every partial result gathered so far, including the verdicts merged
-    before a failing orientation query.
+    every partial result gathered so far, including every verdict answered
+    before (or alongside) a failing orientation query.
     """
     partial: dict = {}
     completed: str | None = None
@@ -272,17 +291,16 @@ def run_pipeline(
         completed = "enumerate_pairs"
         partial["questions"] = questions
 
-        verdicts: dict[PairKey, Verdict] = {}
-        partial["verdicts"] = verdicts
-        exchange_lists: list[tuple[ChatExchange, ...]] = []
-        answers = fan_out(
-            lambda question: _query_with_exchanges(question, gateway),
-            questions,
-            gateway.config.parallelism,
-        )
-        for (verdict, exchanges), question in zip(answers, questions):
-            verdicts[question.pair_key] = verdict
-            exchange_lists.append(exchanges)
+        answered: dict[PairKey, Verdict] = {}
+        partial["verdicts"] = answered
+
+        def ask(question: OrientationQuestion) -> tuple[ChatExchange, ...]:
+            verdict, exchanges = _query_with_exchanges(question, gateway)
+            answered[question.pair_key] = verdict
+            return exchanges
+
+        exchange_lists = list(fan_out(ask, questions, gateway.config.parallelism))
+        verdicts = {q.pair_key: answered[q.pair_key] for q in questions}
         completed = "query_orientation"
 
         graph = build_graph(entities, verdicts)

@@ -821,6 +821,20 @@ def test_config_file_value_of_the_wrong_json_type_exits_one(tmp_path, runner, ke
     assert f"error: config key {key!r} must be" in result.output
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_requests_per_minute_exits_one(tmp_path, runner, value):
+    config_path = tmp_path / "config.json"
+    # json.dumps writes NaN and Infinity, which json.loads reads back as floats
+    config_path.write_text(json.dumps({"requests_per_minute": value}), encoding="utf-8")
+    for args, env in (
+        ([], _env(tmp_path, CAUSALTEXT_REQUESTS_PER_MINUTE=str(value))),
+        (["--config", str(config_path)], _env(tmp_path)),
+    ):
+        result = runner.invoke(main, ["cache", "stats", *args], env=env, catch_exceptions=False)
+        assert result.exit_code == 1, result.output
+        assert "error: requests_per_minute must be a finite number > 0" in result.output
+
+
 def test_config_file_numbers_keep_their_meaning(tmp_path, monkeypatch):
     for name in list(os.environ):
         if name.startswith("CAUSALTEXT_"):

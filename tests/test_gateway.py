@@ -309,7 +309,7 @@ def test_cache_random_repetition_counting_oracle(tmp_path):
 
 
 def test_cache_corrupt_entry_treated_as_miss(tmp_path, caplog):
-    gateway, transport = _cached_gateway(tmp_path, ["one", "two"])
+    gateway, transport = _cached_gateway(tmp_path, ["one", "two", "three"])
     prompt = prompt_for("q")
     gateway.cached_complete(prompt)
     path = _cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt))
@@ -320,6 +320,17 @@ def test_cache_corrupt_entry_treated_as_miss(tmp_path, caplog):
     assert transport.calls == 2
     assert any("corrupt" in record.message for record in caplog.records)
     assert gateway.cached_complete(prompt).source is ExchangeSource.CACHE
+
+    # the right key with a reply that is no string: a miss, not an AttributeError
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record["reply_text"] = None
+    path.write_text(json.dumps(record), encoding="utf-8")
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        exchange = gateway.cached_complete(prompt)
+    assert exchange.reply_text == "three"
+    assert transport.calls == 3
+    assert any("corrupt" in record.message for record in caplog.records)
 
 
 def test_cache_checksum_mismatch_treated_as_miss(tmp_path):
@@ -421,6 +432,9 @@ def test_provider_config_validation():
         ProviderConfig(max_retries=-1)
     with pytest.raises(ValueError):
         ProviderConfig(parallelism=0)
+    for rate in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="requests_per_minute must be a finite number"):
+            ProviderConfig(requests_per_minute=rate)
     for url in ("localhost:9/v1/chat/completions", "ftp://host/chat", "http:///chat",
                 "https://", "/v1/chat/completions"):
         with pytest.raises(ValueError, match="http"):

@@ -443,6 +443,8 @@ _ENTITIES = [{"id": "a", "canonical_label": "a"}, {"id": "b", "canonical_label":
                                                             {"a": "b", "b": "a"}]}),
         (parse_pdag, {"entities": _ENTITIES, "undirected": {}}),
         (parse_pdag, {"entities": [*_ENTITIES, {"id": "a", "canonical_label": "c"}]}),
+        (parse_graph, {"entities": [{"id": "a", "canonical_label": "a",
+                                     "surface_forms": [None, 5, {"x": 1}]}], "arcs": []}),
     ],
 )
 def test_malformed_graph_files_raise_graph_file_error(parse, payload):

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import time
 
 import pytest
 
 from causaltext.errors import (
     AuthError,
     EntityNotInTextError,
+    FixtureMissError,
     GraphFileError,
     OppositeArcConflictError,
     PipelineStageError,
+    ProviderUnavailableError,
     TooFewEntitiesError,
 )
 from causaltext.gateway import (
@@ -19,6 +23,7 @@ from causaltext.gateway import (
     ProviderConfig,
     ReplayEntry,
     ReplayFixture,
+    ReplayTransport,
 )
 from causaltext.graph import (
     Arc,
@@ -34,6 +39,7 @@ from causaltext.pipeline import (
     build_graph,
     enumerate_pairs,
     extract_entities,
+    fan_out,
     orient_cpdag,
     query_orientation,
     run_pipeline,
@@ -433,32 +439,101 @@ def test_run_pipeline_failure_before_any_stage(gateway_factory):
 def test_run_pipeline_stops_spending_after_a_fatal_error(tmp_path):
     source_text, fixture = pipeline_document(20, modulus=9)
     entity_fingerprint = render_entity_prompt(source_text, "").fingerprint
+    entity_only = {entity_fingerprint: fixture.entries[entity_fingerprint]}
 
     class RefuseOrientation:
         source = ExchangeSource.LIVE
 
+        def __init__(self, error):
+            self.error = error
+
         def send(self, prompt):
             if prompt.fingerprint == entity_fingerprint:
                 return fixture.entries[entity_fingerprint].reply_text, 0.0
-            raise AuthError("provider rejected the credential (401)")
+            raise self.error("provider refused the orientation query (not retryable)")
 
-    for parallelism in (1, 4, 16):
-        transport = CountingTransport(RefuseOrientation())
-        config = ProviderConfig(
-            cache_dir=tmp_path / f"cache{parallelism}",
-            parallelism=parallelism,
-            requests_per_minute=1e9,
-        )
+    def refusing_transport(error):
+        if error is FixtureMissError:  # a strict replay that holds only the entity reply
+            return ReplayTransport(ReplayFixture(entity_only, strict=True))
+        return RefuseOrientation(error)
+
+    for error in (AuthError, ProviderUnavailableError, FixtureMissError):
+        for parallelism in (1, 4, 16):
+            transport = CountingTransport(refusing_transport(error))
+            config = ProviderConfig(
+                cache_dir=tmp_path / f"cache-{error.__name__}-{parallelism}",
+                parallelism=parallelism,
+                requests_per_minute=1e9,
+            )
+            with pytest.raises(PipelineStageError) as excinfo:
+                run_pipeline(source_text, "", PipelineConfig(), Gateway(config, transport))
+            assert excinfo.value.completed_stage == "enumerate_pairs"
+            assert isinstance(excinfo.value.__cause__, error)
+            if parallelism == 1:
+                # inline: the entity query plus the failing first pair, nothing more
+                assert transport.calls == 2
+            else:
+                # no call starts after the first refusal, so only the calls
+                # already in flight with it can send
+                assert transport.calls <= 1 + parallelism, (error, parallelism, transport.calls)
+
+
+def test_partial_verdicts_hold_every_answered_pair(tmp_path):
+    source_text, fixture = pipeline_document(10)
+    listed = extract_entities(source_text, "", Gateway(
+        ProviderConfig(cache_dir=tmp_path / "entities"), ReplayTransport(fixture)))
+    pair_of = {
+        render_orientation_prompt(question).fingerprint: question.pair_key
+        for question in enumerate_pairs(listed, source_text)
+    }
+    first = next(iter(pair_of))
+
+    class FailFirstOrientation:
+        source = ExchangeSource.LIVE
+
+        def __init__(self):
+            self.answered = set()
+
+        def send(self, prompt):
+            if prompt.fingerprint == first:
+                time.sleep(0.05)
+                raise ProviderUnavailableError("provider answered status 400; not retryable")
+            if prompt.fingerprint in pair_of:
+                self.answered.add(pair_of[prompt.fingerprint])
+            return fixture.entries[prompt.fingerprint].reply_text, 0.0
+
+    transport = FailFirstOrientation()
+    config = ProviderConfig(cache_dir=tmp_path / "cache", parallelism=4, requests_per_minute=1e9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers' verdict stores as much as possible
+    try:
         with pytest.raises(PipelineStageError) as excinfo:
             run_pipeline(source_text, "", PipelineConfig(), Gateway(config, transport))
-        assert excinfo.value.completed_stage == "enumerate_pairs"
-        if parallelism == 1:
-            # inline: the entity query plus the failing first pair, nothing more
-            assert transport.calls == 2
-        else:
-            # the gateway sends nothing after the first AuthError, so only the
-            # calls already in flight with the first refusal can send
-            assert transport.calls <= 1 + parallelism, (parallelism, transport.calls)
+    finally:
+        sys.setswitchinterval(interval)
+    assert transport.answered  # the other workers kept answering while the first pair failed
+    assert set(excinfo.value.partial["verdicts"]) == transport.answered
+
+
+def test_fan_out_raises_the_first_error_and_starts_almost_nothing_after_it():
+    for failing in (0, 1):
+        started = []
+
+        def call(item):
+            started.append(item)
+            if item == failing:
+                raise KeyError(f"item {item}")
+            # item 0 ahead of a failing item 1 is slow, so a pool that only
+            # cancels on the consumer's side keeps starting calls meanwhile
+            time.sleep(0.1 if item == 0 else 0.001)
+            return item
+
+        with pytest.raises(KeyError, match=f"item {failing}"):
+            list(fan_out(call, range(1000), parallelism=8))
+        assert len(started) < 50, (failing, len(started))
+    assert list(fan_out(lambda item: item * 2, range(1000), parallelism=8)) == [
+        item * 2 for item in range(1000)
+    ]
 
 
 def test_run_pipeline_enforce_acyclic(gateway_factory):
