@@ -116,7 +116,12 @@ def _setting(name, flag_value, file_config):
         return file_config.get(name)
     kind = _KEYS[name][0]
     if kind is not bool:
-        return kind(env_value)
+        try:
+            return kind(env_value)
+        except ValueError:
+            raise ConfigurationError(
+                f"{variable} must be {_JSON_TYPES[kind]}, not {env_value!r}"
+            ) from None
     word = env_value.strip().lower()
     if word not in _ENV_BOOLEANS:
         raise ConfigurationError(

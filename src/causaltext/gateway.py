@@ -5,8 +5,9 @@ transport speaking the OpenAI-compatible chat-completions shape, and a replay
 transport that answers from a recorded fixture (fully offline and
 deterministic). The gateway can record every exchange it serves, cache hits
 included, into a fixture so the run can be replayed later. The persistent
-cache is keyed by prompt fingerprint, model name and temperature, so
-switching models never serves stale verdicts.
+cache is keyed by prompt fingerprint, model name and temperature, and keeps
+replayed entries apart from live ones, so switching models never serves
+stale verdicts and a replayed fixture never answers a live run.
 """
 
 from __future__ import annotations
@@ -381,7 +382,9 @@ class Gateway:
     def cached_complete(self, prompt: RenderedPrompt) -> ChatExchange:
         """Serve from the persistent cache, calling the provider only on miss.
 
-        The cache key includes model name and temperature. A corrupt entry
+        The cache key includes model name and temperature, and a replay
+        transport's keys carry a ``replay|`` prefix, so a fixture's reply
+        never answers a live run. A corrupt entry
         (bad JSON or checksum mismatch) is logged and treated as a miss.
         Writes are atomic and serialized per key, so concurrent callers of
         the same prompt trigger at most one provider call. An empty reply (a
@@ -389,6 +392,8 @@ class Gateway:
         asks again.
         """
         key = _cache_key(self._config, prompt)
+        if self._transport.source is ExchangeSource.REPLAY:
+            key = f"replay|{key}"
         path = _cache_path(self._config.cache_dir, key)
         exchange = self._read_cache_entry(path, key, prompt)
         if exchange is None:
@@ -481,12 +486,17 @@ def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
 
 
 def clear_cache(cache_dir: Path | str) -> int:
-    """Remove every cache entry under the run lock; refused while a run holds it."""
+    """Remove every cache entry under the run lock; refused while a run holds it.
+
+    Scratch files a killed write left behind go too; only entries are counted.
+    """
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         return 0
     removed = 0
     with run_lock(cache_dir):
+        for path in cache_dir.glob("*.tmp"):
+            path.unlink()
         for path in cache_dir.glob("*.json"):
             path.unlink()
             removed += 1

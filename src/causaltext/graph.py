@@ -23,7 +23,6 @@ import networkx as nx
 from networkx.utils import pairwise
 
 from .errors import (
-    CausalTextError,
     CycleBudgetExceededError,
     GraphFileError,
     OppositeArcConflictError,
@@ -481,61 +480,15 @@ def _parse_arc_record(record: object) -> Arc:
         raise GraphFileError(str(exc)) from None
 
 
-def _load_json(text: str) -> object:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFileError(f"not valid JSON: {exc}") from None
-
-
 def parse_graph(text: str, kind: GraphKind = GraphKind.EXTRACTED) -> CausalGraph:
     """Parse a structured graph file (the inverse of STRUCTURED serialization)."""
-    payload = _load_json(text)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFileError(f"not valid JSON: {exc}") from None
     entities = [_parse_entity_record(r) for r in _field(payload, "entities", list)]
     arcs = [_parse_arc_record(r) for r in _field(payload, "arcs", list)]
     try:
         return CausalGraph(kind, entities, arcs)
     except (UnknownEntityError, OppositeArcConflictError, ValueError) as exc:
-        raise GraphFileError(str(exc)) from None
-
-
-@dataclass(frozen=True)
-class PartiallyDirectedGraph:
-    """Output of a causal-discovery algorithm: some arcs lack orientation.
-
-    Undirected edges are stored as unordered pairs (smaller id first). All
-    pairs together must form a valid extracted :class:`CausalGraph`, so each
-    unordered pair occurs at most once and every malformed input fails here,
-    before any query is paid for.
-    """
-
-    entities: tuple[Entity, ...]
-    directed_arcs: tuple[tuple[str, str], ...]
-    undirected_edges: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "undirected_edges",
-            tuple(tuple(sorted(pair)) for pair in self.undirected_edges),
-        )
-        pairs = (*self.directed_arcs, *self.undirected_edges)
-        try:
-            CausalGraph(GraphKind.EXTRACTED, self.entities, [Arc(*pair) for pair in pairs])
-        except CausalTextError as exc:
-            raise ValueError(str(exc)) from None
-
-
-def parse_pdag(text: str) -> PartiallyDirectedGraph:
-    """Parse a structured graph file extended with an ``undirected`` list."""
-    payload = _load_json(text)
-    entities = tuple(_parse_entity_record(r) for r in _field(payload, "entities", list))
-    directed = tuple(_parse_arc_record(r).pair for r in _field(payload, "arcs", list, []))
-    undirected = tuple(
-        (_field(r, "a", str), _field(r, "b", str))
-        for r in _field(payload, "undirected", list, [])
-    )
-    try:
-        return PartiallyDirectedGraph(entities, directed, undirected)
-    except ValueError as exc:
         raise GraphFileError(str(exc)) from None

@@ -13,8 +13,8 @@ import dataclasses
 import logging
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from itertools import chain, combinations
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -30,7 +30,6 @@ from .graph import (
     CycleReport,
     Entity,
     GraphKind,
-    PartiallyDirectedGraph,
     _entity_record,
     detect_cycles,
     enforce_acyclicity,
@@ -348,40 +347,3 @@ def run_report(run: PipelineRun) -> dict:
         "removed_arcs": [[arc.cause, arc.effect] for arc in run.removed_arcs],
         "stats": dataclasses.asdict(run.stats),
     }
-
-
-def orient_cpdag(
-    pdag: PartiallyDirectedGraph, source_text: str, gateway: Gateway
-) -> CausalGraph:
-    """Orient the undirected edges of a discovery output against a text.
-
-    Already-directed arcs pass through untouched and cost zero queries.
-    Every endpoint of an undirected edge is located in the text once, before
-    the first query. Each undirected edge is then asked once, up to the
-    gateway's parallelism at a time; NoRelation or a still-unparsable reply
-    drops the edge with a warning, since the discovery algorithm asserted
-    adjacency but the text did not confirm a direction.
-    """
-    by_id = {entity.id: entity for entity in pdag.entities}
-    edges = sorted(pdag.undirected_edges)
-    endpoints = (by_id[i] for i in dict.fromkeys(chain.from_iterable(edges)))
-    located = {e.id: replace(e, first_offset=entity_offset(source_text, e)) for e in endpoints}
-    questions = [
-        OrientationQuestion.from_pair(source_text, located[a_id], located[b_id])
-        for a_id, b_id in edges
-    ]
-    answers = fan_out(
-        lambda question: _query_with_exchanges(question, gateway),
-        questions,
-        gateway.config.parallelism,
-    )
-    verdicts = dict.fromkeys(pdag.directed_arcs, Verdict.FORWARD)
-    for (verdict, _), (a_id, b_id), question in zip(answers, edges, questions):
-        if oriented(question.pair_key, verdict) is None:
-            log.warning(
-                "dropping undirected edge %r - %r: text did not confirm a direction",
-                a_id,
-                b_id,
-            )
-        verdicts[question.pair_key] = verdict
-    return build_graph(pdag.entities, verdicts)

@@ -94,8 +94,7 @@ class OrientationQuestion:
     ``entity_a`` precedes ``entity_b`` in the document (first_offset order,
     ties broken by canonical label). The question searches nothing: its
     callers locate the entities where they enter (extraction,
-    :func:`~causaltext.pipeline.enumerate_pairs`, CPDAG orientation, the
-    benchmark records).
+    :func:`~causaltext.pipeline.enumerate_pairs`, the benchmark records).
     """
 
     source_text: str

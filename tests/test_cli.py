@@ -560,6 +560,8 @@ def test_cache_stats_and_clear_cycle(tmp_path, runner):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
     (cache_dir / "entry.json").write_text("{}", encoding="utf-8")
+    # the scratch file of a write killed before its rename
+    (cache_dir / "abc.tmp").write_text("{", encoding="utf-8")
     env = _env(tmp_path)
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
@@ -569,6 +571,7 @@ def test_cache_stats_and_clear_cycle(tmp_path, runner):
     result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
     assert result.exit_code == 0
     assert "removed: 1" in result.output
+    assert not (cache_dir / "abc.tmp").exists()
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
     assert "entries: 0" in result.output
@@ -792,6 +795,21 @@ def test_boolean_environment_values_are_checked(tmp_path, runner, monkeypatch, v
         env=_env(tmp_path, CAUSALTEXT_ENFORCE_ACYCLIC=value), catch_exceptions=False,
     )
     assert result.exit_code == (1 if expected is None else 0), result.output
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("PARALLELISM", "abc", "an integer"),
+    ("ENTITY_CAP", "2.5", "an integer"),
+    ("TEMPERATURE", "warm", "a number"),
+])
+def test_numeric_environment_values_name_their_variable(tmp_path, runner, name, value, kind):
+    variable = f"CAUSALTEXT_{name}"
+    result = runner.invoke(
+        main, ["cache", "stats"], env=_env(tmp_path, **{variable: value}),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert f"{variable} must be {kind}, not {value!r}" in result.stderr
 
 
 # never cast: `bool("false")` is True, and `str(None)` names a directory "None"

@@ -251,6 +251,20 @@ def test_run_pairwise_eval_handles_reversed_tag_order(gateway_factory):
     assert report.confusion.grid == ((0, 0), (0, 1))
 
 
+def test_run_pairwise_eval_counts_identical_spans_unparsable(gateway_factory, caplog):
+    # both spans normalize to "fire": no question can be built, so none is asked
+    records = parse_semeval(
+        '1\t"<e1>Fire</e1> spreads more <e2>fire</e2>."\nCause-Effect(e1,e2)\n\n'
+        '2\t"The <e1>infection</e1> came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n'
+    )
+    gateway, _ = gateway_factory(_fixture_for(records[1:], ["B"]))
+    with caplog.at_level("WARNING"):
+        report = run_pairwise_eval(records, gateway)
+    assert report.confusion.unparsable == 1
+    assert report.confusion.grid == ((0, 0), (0, 1))
+    assert any("identical spans" in record.message for record in caplog.records)
+
+
 def test_run_pairwise_eval_rejects_empty_causal_subset(gateway_factory):
     records = parse_semeval(
         '1\t"The <e1>box</e1> holds <e2>marbles</e2>."\nMember-Collection(e1,e2)\n'

@@ -123,14 +123,13 @@ def test_gateway_records_transport_replies_and_cache_hits(provider_config):
     cold.cached_complete(prompt_for("q2"))
     assert record.entries == source.entries
 
-    # a warm gateway over the same cache records without any transport call
+    # a warm gateway over the same cache records without any transport call:
+    # its strict fixture is empty, so a miss would raise
     warm_record = ReplayFixture()
-    warm_transport = ScriptedTransport([])
-    warm = Gateway(provider_config, warm_transport, warm_record)
+    warm = Gateway(provider_config, ReplayTransport(ReplayFixture(strict=True)), warm_record)
     exchange = warm.cached_complete(prompt_for("q1"))
     assert exchange.source is ExchangeSource.CACHE
     assert exchange.model_name == provider_config.model_name
-    assert warm_transport.calls == 0
     # the cached latency is recorded, so a replay reproduces the timing stats
     assert warm_record.entries == {prompt_for("q1").fingerprint: ReplayEntry("first", 1.5)}
 
@@ -238,10 +237,15 @@ def test_live_never_retries_auth_errors(fake_endpoint):
 
 
 def test_live_rejects_malformed_response(fake_endpoint):
-    fake_endpoint.script.append((200, {"unexpected": True}))
     config = _live_config(fake_endpoint)
-    with pytest.raises(MalformedProviderResponseError):
-        Gateway(config, LiveTransport(config)).complete(prompt_for("odd"))
+    gateway = Gateway(config, LiveTransport(config))
+    for payload, message in [
+        ({"unexpected": True}, "cannot read completion"),
+        ({"choices": [{"message": {"content": ["<Answer>A</Answer>"]}}]}, "not text"),
+    ]:
+        fake_endpoint.script.append((200, payload))
+        with pytest.raises(MalformedProviderResponseError, match=message):
+            gateway.complete(prompt_for("odd"))
 
 
 def test_live_other_client_errors_fail_fast(fake_endpoint):
@@ -291,6 +295,15 @@ def test_cache_key_discriminates_model_and_temperature(tmp_path):
     assert transport_a.calls == transport_b.calls == transport_c.calls == 1
     assert gateway_a.cached_complete(prompt).reply_text == "from a"
     assert transport_a.calls == 1
+
+    # a replayed reply is cached apart and never answers a live run
+    other = prompt_for("other")
+    fixture = ReplayFixture(entries={other.fingerprint: ReplayEntry("from replay")})
+    replay = Gateway(gateway_a.config, ReplayTransport(fixture))
+    assert replay.cached_complete(other).reply_text == "from replay"
+    live, live_transport = _cached_gateway(tmp_path, ["from live"], model_name="model-a")
+    assert live.cached_complete(other).reply_text == "from live"
+    assert live_transport.calls == 1
 
 
 def test_cache_random_repetition_counting_oracle(tmp_path):
@@ -455,6 +468,22 @@ def test_live_unretryable_request_error_is_provider_unavailable(monkeypatch):
     with pytest.raises(ProviderUnavailableError, match="bad header"):
         gateway.complete(prompt_for("q"))
     assert len(calls) == 1
+
+
+def test_live_connection_error_is_retried_then_provider_unavailable(monkeypatch):
+    # no request leaves the process: requests.post itself is replaced
+    calls = []
+
+    def reset(url, **kwargs):
+        calls.append(url)
+        raise requests.ConnectionError("connection reset")
+
+    monkeypatch.setattr(requests, "post", reset)
+    config = ProviderConfig(backoff_base=0.0, requests_per_minute=1e9, max_retries=2)
+    gateway = Gateway(config, LiveTransport(config))
+    with pytest.raises(ProviderUnavailableError, match="gave up after 3 attempts"):
+        gateway.complete(prompt_for("q"))
+    assert len(calls) == 3
 
 
 def test_chat_exchange_rejects_negative_latency():

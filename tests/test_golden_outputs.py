@@ -1,9 +1,8 @@
 """Pinned sha256 digests of replayed CLI outputs.
 
 Replayed outputs must stay byte-identical across refactors and speed-ups.
-These digests were taken from the CLI before the literal offset check, the
-shared cycle report and the per-endpoint location in ``orient_cpdag`` went
-in; any change to an output byte fails here. If an output format changes on
+These digests were taken from the CLI before the literal offset check and
+the shared cycle report went in; any change to an output byte fails here. If an output format changes on
 purpose, regenerate them with ``PYTHONPATH=src python
 tests/test_golden_outputs.py`` and say why in the change log.
 """

@@ -28,7 +28,6 @@ from causaltext.graph import (
     flag_transitive_candidates,
     normalize_label,
     parse_graph,
-    parse_pdag,
     serialize_graph,
 )
 from fractions import Fraction
@@ -433,16 +432,6 @@ _ENTITIES = [{"id": "a", "canonical_label": "a"}, {"id": "b", "canonical_label":
                                                         "flags": 5}]}),
         (parse_graph, {"entities": _ENTITIES, "arcs": [{"cause": "a", "effect": "b",
                                                         "flags": [["x"]]}]}),
-        (parse_pdag, {"entities": 5}),
-        (parse_pdag, {"entities": _ENTITIES, "arcs": [{"cause": "a"}]}),
-        (parse_pdag, {"entities": _ENTITIES, "arcs": [1]}),
-        (parse_pdag, {"entities": _ENTITIES, "arcs": [{"cause": "a", "effect": "b"},
-                                                      {"cause": "a", "effect": "b"}]}),
-        (parse_pdag, {"entities": _ENTITIES, "undirected": [{"a": "a"}]}),
-        (parse_pdag, {"entities": _ENTITIES, "undirected": [{"a": "a", "b": "b"},
-                                                            {"a": "b", "b": "a"}]}),
-        (parse_pdag, {"entities": _ENTITIES, "undirected": {}}),
-        (parse_pdag, {"entities": [*_ENTITIES, {"id": "a", "canonical_label": "c"}]}),
         (parse_graph, {"entities": [{"id": "a", "canonical_label": "a",
                                      "surface_forms": [None, 5, {"x": 1}]}], "arcs": []}),
     ],

@@ -9,9 +9,8 @@ import pytest
 
 from causaltext.errors import (
     AuthError,
-    EntityNotInTextError,
     FixtureMissError,
-    GraphFileError,
+    NoEntitiesFoundError,
     OppositeArcConflictError,
     PipelineStageError,
     ProviderUnavailableError,
@@ -30,8 +29,6 @@ from causaltext.graph import (
     CausalGraph,
     Entity,
     GraphFormat,
-    PartiallyDirectedGraph,
-    parse_pdag,
     serialize_graph,
 )
 from causaltext.pipeline import (
@@ -40,7 +37,6 @@ from causaltext.pipeline import (
     enumerate_pairs,
     extract_entities,
     fan_out,
-    orient_cpdag,
     query_orientation,
     run_pipeline,
     run_report,
@@ -124,6 +120,16 @@ def test_extract_entities_drops_unlocatable_spans(gateway_factory, caplog):
         entities = extract_entities(source_text, "", gateway)
     assert [e.canonical_label for e in entities] == ["stress", "blood pressure"]
     assert any("unicorns" in record.message for record in caplog.records)
+
+
+def test_extract_entities_raises_when_no_span_occurs_in_the_text(gateway_factory):
+    source_text = "Stress raises blood pressure."
+    prompt = render_entity_prompt(source_text, "")
+    gateway, _ = gateway_factory(ReplayFixture(entries={
+        prompt.fingerprint: ReplayEntry("<Entity>unicorns</Entity><Entity>dragons</Entity>")
+    }))
+    with pytest.raises(NoEntitiesFoundError):
+        extract_entities(source_text, "", gateway)
 
 
 def test_extract_entities_locates_group_whose_member_is_no_listed_span(gateway_factory):
@@ -588,208 +594,3 @@ def test_run_pipeline_enforce_acyclic_lists_cycles_once(gateway_factory, monkeyp
     assert len(run.cycle_report.cycles) == 61
     assert len(run.removed_arcs) == 4
     assert listings == [19]
-
-
-# --- orient_cpdag -------------------------------------------------------------------
-
-
-def _pdag_setup():
-    text = "alpha raises beta while beta steers gamma overall"
-    entities = (
-        Entity(id="a", canonical_label="alpha"),
-        Entity(id="b", canonical_label="beta"),
-        Entity(id="c", canonical_label="gamma"),
-    )
-    pdag = PartiallyDirectedGraph(
-        entities=entities,
-        directed_arcs=(("a", "b"),),
-        undirected_edges=(("b", "c"),),
-    )
-    return text, entities, pdag
-
-
-def test_orient_cpdag_composes_imported_and_queried_arcs(gateway_factory):
-    text, entities, pdag = _pdag_setup()
-    beta = Entity(id="b", canonical_label="beta", first_offset=text.index("beta"))
-    gamma = Entity(id="c", canonical_label="gamma", first_offset=text.index("gamma"))
-    question = OrientationQuestion.from_pair(text, beta, gamma)
-    prompt = render_orientation_prompt(question)
-    for reply, queried in (("A", ("b", "c")), ("B", ("c", "b"))):
-        gateway, _ = gateway_factory(
-            ReplayFixture(
-                entries={prompt.fingerprint: ReplayEntry(f"<Answer>{reply}</Answer>")}
-            )
-        )
-        graph = orient_cpdag(pdag, text, gateway)
-        assert {arc.pair for arc in graph.arcs} == {("a", "b"), queried}
-
-
-def test_orient_cpdag_zero_queries_when_fully_directed(gateway_factory):
-    text, entities, _ = _pdag_setup()
-    pdag = PartiallyDirectedGraph(
-        entities=entities, directed_arcs=(("a", "b"), ("b", "c")), undirected_edges=()
-    )
-    gateway, counter = gateway_factory(ReplayFixture(strict=True), counting=True)
-    graph = orient_cpdag(pdag, text, gateway)
-    assert counter.calls == 0
-    assert {arc.pair for arc in graph.arcs} == {("a", "b"), ("b", "c")}
-
-
-def test_orient_cpdag_drops_denied_edge_with_warning(gateway_factory, caplog):
-    text, entities, pdag = _pdag_setup()
-    beta = Entity(id="b", canonical_label="beta", first_offset=text.index("beta"))
-    gamma = Entity(id="c", canonical_label="gamma", first_offset=text.index("gamma"))
-    prompt = render_orientation_prompt(OrientationQuestion.from_pair(text, beta, gamma))
-    gateway, _ = gateway_factory(
-        ReplayFixture(entries={prompt.fingerprint: ReplayEntry("<Answer>C</Answer>")})
-    )
-    with caplog.at_level("WARNING"):
-        graph = orient_cpdag(pdag, text, gateway)
-    assert {arc.pair for arc in graph.arcs} == {("a", "b")}
-    assert any("dropping undirected edge" in r.message for r in caplog.records)
-
-
-def test_orient_cpdag_requires_endpoint_surface_forms_in_text(gateway_factory):
-    from causaltext.errors import EntityNotInTextError
-
-    entities = (
-        Entity(id="a", canonical_label="alpha"),
-        Entity(id="b", canonical_label="beta"),
-        Entity(id="c", canonical_label="gamma"),
-    )
-    pdag = PartiallyDirectedGraph(
-        entities=entities, directed_arcs=(), undirected_edges=(("b", "c"),)
-    )
-    gateway, _ = gateway_factory(ReplayFixture(strict=True))
-    with pytest.raises(EntityNotInTextError):
-        orient_cpdag(pdag, "alpha raises beta but nothing else", gateway)
-
-
-def test_orient_cpdag_locates_every_endpoint_before_querying(gateway_factory):
-    text = "alpha raises beta but nothing else"
-    entities = (
-        Entity(id="a", canonical_label="alpha"),
-        Entity(id="b", canonical_label="beta"),
-        Entity(id="c", canonical_label="gamma"),
-    )
-    question = OrientationQuestion.from_pair(
-        text, entity("alpha", 0), entity("beta", text.index("beta"))
-    )
-    fixture = ReplayFixture(
-        entries={
-            render_orientation_prompt(question).fingerprint: ReplayEntry(
-                "<Answer>A</Answer>"
-            )
-        }
-    )
-    pdag = PartiallyDirectedGraph(
-        entities=entities, directed_arcs=(), undirected_edges=(("a", "b"), ("b", "c"))
-    )
-    gateway, counter = gateway_factory(fixture, counting=True)
-    with pytest.raises(EntityNotInTextError):
-        orient_cpdag(pdag, text, gateway)
-    assert counter.calls == 0
-
-
-def test_orient_cpdag_deterministic_across_parallelism(gateway_factory):
-    source_text, fixture = pipeline_document(6)
-    names = [f"factor{i:02d}" for i in range(6)]
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    pdag = PartiallyDirectedGraph(
-        entities=tuple(Entity(id=name, canonical_label=name) for name in names),
-        directed_arcs=(pairs[0],),
-        undirected_edges=tuple(pairs[1:]),
-    )
-    graphs = []
-    for parallelism in (1, 4):
-        gateway, counter = gateway_factory(fixture, parallelism=parallelism, counting=True)
-        graphs.append(orient_cpdag(pdag, source_text, gateway))
-        assert counter.calls == len(pairs) - 1
-    expected = {
-        arc for arc in expected_pipeline_arcs(6) if set(arc) != set(pairs[0])
-    } | {pairs[0]}
-    assert {arc.pair for arc in graphs[0].arcs} == expected
-    assert graphs[0] == graphs[1]
-
-
-PDAG_REJECTIONS = {
-    "self-loop": ((("a", "a"),), ()),
-    "unknown endpoint": ((), (("a", "z"),)),
-    "repeated undirected pair": ((), (("a", "b"), ("b", "a"))),
-    "directed and undirected, same orientation": ((("a", "b"),), (("a", "b"),)),
-    "directed and undirected, opposite orientation": ((("b", "a"),), (("a", "b"),)),
-    "opposite directed arcs": ((("a", "b"), ("b", "a")), ()),
-}
-
-
-@pytest.mark.parametrize("directed, undirected", PDAG_REJECTIONS.values(), ids=PDAG_REJECTIONS)
-def test_pdag_rejects_each_pair_that_is_not_once_per_unordered_pair(directed, undirected):
-    entities = (Entity(id="a", canonical_label="alpha"), Entity(id="b", canonical_label="beta"))
-    with pytest.raises(ValueError):
-        PartiallyDirectedGraph(entities, directed, undirected)
-    payload = {
-        "entities": [{"id": e.id, "canonical_label": e.canonical_label} for e in entities],
-        "arcs": [{"cause": c, "effect": e} for c, e in directed],
-        "undirected": [{"a": a, "b": b} for a, b in undirected],
-    }
-    with pytest.raises(GraphFileError):
-        parse_pdag(json.dumps(payload))
-
-
-def test_pdag_rejects_overlapping_pairs():
-    entities = (
-        Entity(id="a", canonical_label="alpha"),
-        Entity(id="b", canonical_label="beta"),
-    )
-    with pytest.raises(ValueError):
-        PartiallyDirectedGraph(
-            entities=entities,
-            directed_arcs=(("a", "b"),),
-            undirected_edges=(("b", "a"),),
-        )
-
-
-def test_parse_pdag_round_trip_and_validation():
-    payload = {
-        "entities": [
-            {"id": "a", "canonical_label": "alpha"},
-            {"id": "b", "canonical_label": "beta"},
-            {"id": "c", "canonical_label": "gamma"},
-        ],
-        "arcs": [{"cause": "a", "effect": "b"}],
-        "undirected": [{"a": "b", "b": "c"}],
-    }
-    pdag = parse_pdag(json.dumps(payload))
-    assert pdag.directed_arcs == (("a", "b"),)
-    assert pdag.undirected_edges == (("b", "c"),)
-    with pytest.raises(GraphFileError):
-        parse_pdag("not json")
-    payload["undirected"] = [{"a": "a", "b": "b"}]
-    with pytest.raises(GraphFileError):
-        parse_pdag(json.dumps(payload))
-
-
-def test_orient_cpdag_locates_each_endpoint_once(gateway_factory, monkeypatch):
-    from causaltext import prompts
-
-    searched = []
-    find_first_offset = prompts.find_first_offset
-
-    def counted(source_text, surface_form):
-        searched.append(surface_form)
-        return find_first_offset(source_text, surface_form)
-
-    monkeypatch.setattr(prompts, "find_first_offset", counted)
-    source_text, fixture = pipeline_document(6)
-    names = [f"factor{i:02d}" for i in range(6)]
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    pdag = PartiallyDirectedGraph(
-        entities=tuple(Entity(id=name, canonical_label=name) for name in names),
-        directed_arcs=(),
-        undirected_edges=tuple(pairs),
-    )
-    gateway, counter = gateway_factory(fixture, counting=True)
-    graph = orient_cpdag(pdag, source_text, gateway)
-    assert counter.calls == 15
-    assert {arc.pair for arc in graph.arcs} == expected_pipeline_arcs(6)
-    assert sorted(searched) == names
