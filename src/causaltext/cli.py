@@ -209,8 +209,11 @@ def _read_input(path: str) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from None
 
 
 def _fail(message: str, code: int = 1) -> None:
@@ -235,25 +238,31 @@ def extract(inputs, **options) -> None:
         missing = [path for path in inputs if not Path(path).is_file()]
         if missing:
             raise ConfigurationError(f"input not readable: {missing[0]}")
+        # Outputs are named by stem, so two inputs with one stem would overwrite.
+        stems: dict[str, str] = {}
+        for path in inputs:
+            stem = Path(path).stem
+            if stem in stems:
+                raise ConfigurationError(f"inputs {stems[stem]} and {path} share a stem")
+            stems[stem] = path
+        out = settings.out_dir
         with _run_session(settings) as gateway:
-            for path in inputs:
-                stem = Path(path).stem
+            for stem, path in stems.items():
                 try:
                     run = run_pipeline(
                         _read_input(path), settings.domain_hint, settings.pipeline, gateway
                     )
+                    _write(out / f"{stem}.graph.json",
+                           serialize_graph(run.graph, GraphFormat.STRUCTURED))
+                    _write(out / f"{stem}.dot", serialize_graph(run.graph, GraphFormat.DOT))
+                    _write(out / f"{stem}.cycles.json",
+                           json.dumps(run.cycle_report.to_dict(), indent=2) + "\n")
+                    _write(out / f"{stem}.stats.json",
+                           json.dumps(run_report(run), indent=2, ensure_ascii=False) + "\n")
                 except CausalTextError as exc:
                     failures += 1
                     click.echo(f"error: {path}: {exc}", err=True)
                     continue
-                out = settings.out_dir
-                _write(out / f"{stem}.graph.json",
-                       serialize_graph(run.graph, GraphFormat.STRUCTURED))
-                _write(out / f"{stem}.dot", serialize_graph(run.graph, GraphFormat.DOT))
-                _write(out / f"{stem}.cycles.json",
-                       json.dumps(run.cycle_report.to_dict(), indent=2) + "\n")
-                _write(out / f"{stem}.stats.json",
-                       json.dumps(run_report(run), indent=2, ensure_ascii=False) + "\n")
                 click.echo(f"{path}: {len(run.entities)} entities, "
                            f"{len(run.graph.arcs)} arcs")
     except CausalTextError as exc:  # each document's own errors are caught above
@@ -273,11 +282,11 @@ def eval_pairs(semeval_path, **options) -> None:
         records = parse_semeval(_read_input(semeval_path))
         with _run_session(settings) as gateway:
             report = run_pairwise_eval(records, gateway)
+        _write(settings.out_dir / "pairwise_report.json",
+               json.dumps(report.to_dict(), indent=2) + "\n")
     except CausalTextError as exc:
         _fail(str(exc))
 
-    _write(settings.out_dir / "pairwise_report.json",
-           json.dumps(report.to_dict(), indent=2) + "\n")
     click.echo(f"grid: {[list(row) for row in report.confusion.grid]}")
     click.echo(render_confusion_table(report.confusion))
     click.echo(f"macro_f1: {float(report.macro_f1):.6f}")
@@ -294,12 +303,11 @@ def eval_graph(run_path, truth_path, **options) -> None:
         settings = _resolve_settings(**options)
         extracted = parse_graph(_read_input(run_path), GraphKind.EXTRACTED)
         truth = parse_graph(_read_input(truth_path), GraphKind.GROUND_TRUTH)
+        comparison = compare_graphs(extracted, truth)
+        _write(settings.out_dir / "graph_comparison.json",
+               json.dumps(comparison.to_dict(), indent=2) + "\n")
     except CausalTextError as exc:
         _fail(str(exc))
-
-    comparison = compare_graphs(extracted, truth)
-    _write(settings.out_dir / "graph_comparison.json",
-           json.dumps(comparison.to_dict(), indent=2) + "\n")
     share = comparison.transitive_fp_share
     click.echo(f"precision: {float(comparison.precision):.6f}")
     click.echo(f"recall: {float(comparison.recall):.6f}")

@@ -69,7 +69,7 @@ class MalformedProviderResponseError(GatewayError):
 
 
 class FixtureMissError(GatewayError):
-    """A strict replay fixture has no entry for the prompt fingerprint."""
+    """A replay fixture has no entry for the prompt fingerprint."""
 
 
 class DuplicateFingerprintError(GatewayError):

@@ -19,16 +19,8 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyEvaluationSetError, ParseError
 from .gateway import Gateway
-from .graph import (
-    CausalGraph,
-    GraphComparison,
-    GraphKind,
-    compare_graphs,
-    Entity,
-    normalize_label,
-    prf,
-)
-from .pipeline import PipelineRun, _query_with_exchanges, fan_out
+from .graph import Entity, compare_graphs, normalize_label, prf
+from .pipeline import _query_with_exchanges, fan_out
 from .prompts import OrientationQuestion, Verdict, oriented
 
 log = logging.getLogger(__name__)
@@ -196,10 +188,6 @@ class ConfusionMatrix:
     def grid_total(self) -> int:
         return sum(c for row in self.grid for c in row)
 
-    @property
-    def record_total(self) -> int:
-        return self.grid_total + self.abstained + self.unparsable
-
     def to_dict(self) -> dict:
         return {
             "grid": [list(row) for row in self.grid],
@@ -338,10 +326,3 @@ def run_pairwise_eval(
 
 # The benchmark wraps and calls this name; compare_graphs fills the share itself.
 compare_with_transitive_share = compare_graphs
-
-
-def evaluate_graph_run(run: PipelineRun, truth: CausalGraph) -> GraphComparison:
-    """Score one pipeline run against its expert-annotated ground truth."""
-    if truth.kind is not GraphKind.GROUND_TRUTH:
-        raise ValueError("the reference graph must have kind GROUND_TRUTH")
-    return compare_graphs(run.graph, truth)

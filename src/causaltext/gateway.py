@@ -45,6 +45,7 @@ from .prompts import RenderedPrompt
 log = logging.getLogger(__name__)
 
 RUN_LOCK_NAME = ".runlock"
+REQUEST_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class ProviderConfig:
     model_name: str = "gpt-4-turbo"
     temperature: float = 0.0
     max_retries: int = 3
-    request_timeout: float = 60.0
     parallelism: int = 1
     cache_dir: Path = Path(".causaltext_cache")
     api_key_env: str = "OPENAI_API_KEY"
@@ -93,7 +93,6 @@ class ChatExchange:
 
     prompt: RenderedPrompt
     reply_text: str
-    model_name: str
     latency: float
     source: ExchangeSource
     retries: int = 0
@@ -118,14 +117,9 @@ class ReplayEntry:
 
 @dataclass
 class ReplayFixture:
-    """A stored fingerprint -> reply mapping for offline runs.
-
-    In strict mode an unknown fingerprint is an error; otherwise it yields an
-    empty reply, which downstream parsing records as unparsable.
-    """
+    """A stored fingerprint -> reply mapping for offline runs; a miss is an error."""
 
     entries: dict[str, ReplayEntry] = field(default_factory=dict)
-    strict: bool = True
 
     def add(self, exchange: ChatExchange) -> None:
         """Keep the exchange's reply and latency under its prompt fingerprint.
@@ -145,7 +139,6 @@ class ReplayFixture:
 
     def save(self, path: Path | str) -> None:
         payload = {
-            "strict": self.strict,
             "entries": {
                 fingerprint: {"reply": entry.reply_text, "latency": entry.latency}
                 for fingerprint, entry in sorted(self.entries.items())
@@ -160,23 +153,22 @@ class ReplayFixture:
         """Read a saved fixture; a malformed file raises :class:`GatewayError`.
 
         ``entries`` must map fingerprints to objects whose ``reply`` is a
-        string and whose optional ``latency`` is a finite number >= 0; the
-        optional ``strict`` is a boolean.
+        string and whose optional ``latency`` is a finite number >= 0. A
+        ``strict`` key, which older fixtures carry, must be ``true``.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(payload, dict) or not isinstance(payload.get("entries"), dict):
                 raise ValueError("expected an object with an 'entries' object")
-            strict = payload.get("strict", True)
-            if not isinstance(strict, bool):
-                raise ValueError(f"'strict' must be a boolean, not {strict!r}")
+            if payload.get("strict", True) is not True:
+                raise ValueError(f"'strict' must be true, not {payload['strict']!r}")
             entries = {}
             for fingerprint, record in payload["entries"].items():
                 if not isinstance(record, dict) or not isinstance(record.get("reply"), str):
                     raise ValueError(f"entry {fingerprint} needs a string 'reply'")
                 latency = _checked_latency(record.get("latency", 0.0))
                 entries[fingerprint] = ReplayEntry(record["reply"], latency)
-            return cls(entries=entries, strict=strict)
+            return cls(entries=entries)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise GatewayError(f"cannot load replay fixture {path}: {exc}") from None
 
@@ -257,7 +249,7 @@ class LiveTransport:
                 self._config.endpoint_url,
                 json=payload,
                 headers=headers,
-                timeout=self._config.request_timeout,
+                timeout=REQUEST_TIMEOUT_S,
             )
         except (requests.Timeout, requests.ConnectionError) as exc:
             raise _TransientProviderError(str(exc)) from exc
@@ -296,12 +288,7 @@ class ReplayTransport:
     def send(self, prompt: RenderedPrompt) -> tuple[str, float]:
         entry = self._fixture.entries.get(prompt.fingerprint)
         if entry is None:
-            if self._fixture.strict:
-                raise FixtureMissError(
-                    f"no fixture entry for fingerprint {prompt.fingerprint}"
-                )
-            log.warning("replay miss for fingerprint %s", prompt.fingerprint)
-            return "", 0.0
+            raise FixtureMissError(f"no fixture entry for fingerprint {prompt.fingerprint}")
         return entry.reply_text, entry.latency
 
 
@@ -360,7 +347,6 @@ class Gateway:
                 return ChatExchange(
                     prompt=prompt,
                     reply_text=reply,
-                    model_name=self._config.model_name,
                     latency=latency,
                     source=self._transport.source,
                     retries=retries,
@@ -387,9 +373,8 @@ class Gateway:
         never answers a live run. A corrupt entry
         (bad JSON or checksum mismatch) is logged and treated as a miss.
         Writes are atomic and serialized per key, so concurrent callers of
-        the same prompt trigger at most one provider call. An empty reply (a
-        non-strict replay miss) is returned but never cached, so a later run
-        asks again.
+        the same prompt trigger at most one provider call. An empty live
+        completion is returned but never cached, so a later run asks again.
         """
         key = _cache_key(self._config, prompt)
         if self._transport.source is ExchangeSource.REPLAY:
@@ -434,7 +419,6 @@ class Gateway:
         return ChatExchange(
             prompt=prompt,
             reply_text=reply,
-            model_name=self._config.model_name,
             latency=latency,
             source=ExchangeSource.CACHE,
         )
@@ -443,7 +427,7 @@ class Gateway:
         record = {
             "key": key,
             "fingerprint": exchange.prompt.fingerprint,
-            "model_name": exchange.model_name,
+            "model_name": self._config.model_name,
             "temperature": self._config.temperature,
             "reply_text": exchange.reply_text,
             "latency": exchange.latency,

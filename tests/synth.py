@@ -81,7 +81,6 @@ def benchmark_with_scripted_replies() -> tuple[str, ReplayFixture]:
 
     fixture = ReplayFixture(
         entries={fp: ReplayEntry(reply) for fp, reply in replies.items()},
-        strict=True,
     )
     return write_semeval(records), fixture
 
@@ -128,7 +127,7 @@ def pipeline_document(
                 f"Considering the cohort data.\n<Answer>{pair_rule(i, j, modulus)}</Answer>",
                 latency,
             )
-    return source_text, ReplayFixture(entries=entries, strict=True)
+    return source_text, ReplayFixture(entries=entries)
 
 
 def expected_pipeline_arcs(entity_count: int, modulus: int = 3) -> set[tuple[str, str]]:

@@ -22,7 +22,6 @@ from causaltext.evaluation import (
     Orientation,
     compute_report,
     ConfusionMatrix,
-    evaluate_graph_run,
     parse_semeval,
     write_semeval,
 )
@@ -31,7 +30,6 @@ from causaltext.graph import (
     Arc,
     ArcFlag,
     CausalGraph,
-    CycleReport,
     Entity,
     GraphKind,
     compare_graphs,
@@ -40,7 +38,7 @@ from causaltext.graph import (
     flag_transitive_candidates,
     parse_graph,
 )
-from causaltext.pipeline import PipelineConfig, PipelineRun, RunStats, run_pipeline
+from causaltext.pipeline import PipelineConfig, run_pipeline
 from helpers import DATA_DIR, CountingTransport
 from oracles import (
     brute_force_counts,
@@ -317,16 +315,7 @@ def test_shortcut_pattern_precision_and_transitive_share():
             GraphKind.GROUND_TRUTH,
         )
         assert ArcFlag.SUSPECTED_TRANSITIVE in extracted.arc("a", "c").flags
-        run = PipelineRun(
-            entities=extracted.entities,
-            verdicts={},
-            graph=extracted,
-            cycle_report=CycleReport(()),
-            transitive_arcs=(extracted.arc("a", "c"),),
-            removed_arcs=(),
-            stats=RunStats(3, 0, 1, 0, 0.0, 0.0, 0.0),
-        )
-        comparison = evaluate_graph_run(run, truth)
+        comparison = compare_graphs(extracted, truth)
         assert comparison.precision == Fraction(2, 3)
         assert comparison.recall == 1
         assert comparison.f1 == Fraction(4, 5)

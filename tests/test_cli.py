@@ -96,7 +96,7 @@ def test_extract_partial_batch_failure_exits_two(tmp_path, runner):
     docs.append(doc)
 
     fixture_path = tmp_path / "fixture.json"
-    ReplayFixture(entries=entries, strict=True).save(fixture_path)
+    ReplayFixture(entries=entries).save(fixture_path)
     out = tmp_path / "out"
     result = runner.invoke(
         main,
@@ -109,6 +109,63 @@ def test_extract_partial_batch_failure_exits_two(tmp_path, runner):
     assert (out / "doc0.graph.json").exists()
     assert (out / "doc1.graph.json").exists()
     assert not (out / "doc2.graph.json").exists()
+
+
+def test_extract_inputs_sharing_a_stem_exit_one(tmp_path, runner):
+    source_text, fixture = pipeline_document(3)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    docs = [tmp_path / "a" / "doc.txt", tmp_path / "b" / "doc.md"]
+    for doc in docs:
+        doc.parent.mkdir()
+        doc.write_text(source_text, encoding="utf-8")
+    out = tmp_path / "out"
+    # two files with one stem, and one file named twice, would overwrite each other
+    for first, second in (docs, (docs[0], docs[0])):
+        result = runner.invoke(
+            main,
+            ["extract", "--replay", str(fixture_path), "--out", str(out), str(first), str(second)],
+            env=_env(tmp_path),
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 1, result.output
+        assert f"error: inputs {first} and {second} share a stem" in result.output
+        assert not out.exists()
+        assert not (tmp_path / "cache").exists()  # refused before the run lock
+
+
+def test_unwritable_out_fails_with_an_error_line(tmp_path, runner):
+    source_text, fixture = pipeline_document(3)
+    semeval_text, bench_fixture = benchmark_with_scripted_replies()
+    fixture.entries.update(bench_fixture.entries)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    docs = [tmp_path / "doc1.txt", tmp_path / "doc2.txt"]
+    for doc in docs:
+        doc.write_text(source_text, encoding="utf-8")
+    semeval_path = tmp_path / "bench.txt"
+    semeval_path.write_text(semeval_text, encoding="utf-8")
+    run_path, truth_path = _write_shortcut_graphs(tmp_path)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    out = ["--out", str(blocker / "out")]
+    replay = ["--replay", str(fixture_path), *out]
+
+    # extract: each document fails on its own, and the batch goes on
+    result = runner.invoke(
+        main, ["extract", *replay, *map(str, docs)], env=_env(tmp_path), catch_exceptions=False
+    )
+    assert result.exit_code == 2, result.output
+    for doc in docs:
+        graph_file = blocker / "out" / f"{doc.stem}.graph.json"
+        assert f"error: {doc}: cannot write {graph_file}" in result.output
+    for args in (
+        ["eval-pairs", *replay, str(semeval_path)],
+        ["eval-graph", *out, str(run_path), str(truth_path)],
+    ):
+        result = runner.invoke(main, args, env=_env(tmp_path), catch_exceptions=False)
+        assert result.exit_code == 1, (args[0], result.output)
+        assert f"error: cannot write {blocker / 'out'}" in result.output
 
 
 def test_extract_outputs_are_reproducible(tmp_path, runner):
@@ -241,6 +298,7 @@ MALFORMED_FIXTURES = {
     "string latency": lambda payload: _every_entry(payload, "latency", "1.5"),
     "boolean latency": lambda payload: _every_entry(payload, "latency", True),
     "string strict": lambda payload: {**payload, "strict": "false"},
+    "strict false": lambda payload: {**payload, "strict": False},
 }
 
 
@@ -299,6 +357,36 @@ def test_warm_cache_record_captures_every_exchange(tmp_path, runner, monkeypatch
     for suffix in OUTPUT_SUFFIXES:
         replayed = (tmp_path / "replayed" / f"doc{suffix}").read_bytes()
         assert replayed == (tmp_path / "cold" / f"doc{suffix}").read_bytes(), suffix
+
+
+def test_replayed_cache_never_answers_a_live_run(tmp_path, runner, monkeypatch):
+    from causaltext import cli
+    from causaltext.gateway import ExchangeSource, ReplayTransport
+    from helpers import CountingTransport
+
+    class FixtureProvider(ReplayTransport):
+        source = ExchangeSource.LIVE
+
+    source_text, fixture = pipeline_document(6)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    live = CountingTransport(FixtureProvider(fixture))
+    monkeypatch.setattr(cli, "LiveTransport", lambda config: live)
+    for name, source in (("replayed", ["--replay", str(fixture_path)]), ("live", [])):
+        result = runner.invoke(
+            main,
+            ["extract", *source, "--out", str(tmp_path / name), str(doc)],
+            env=_env(tmp_path),
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0, result.output
+    # the live run on the replay-warmed cache pays for C(6, 2) + 1 queries
+    assert live.calls == 16
+    for suffix in (".graph.json", ".dot", ".cycles.json"):
+        replayed = (tmp_path / "replayed" / f"doc{suffix}").read_bytes()
+        assert replayed == (tmp_path / "live" / f"doc{suffix}").read_bytes(), suffix
 
 
 def test_unreadable_input_fails_alone(tmp_path, runner):
@@ -382,6 +470,8 @@ def test_eval_pairs_empty_causal_subset_exits_one(tmp_path, runner):
 
 
 def test_eval_pairs_non_strict_miss_counts_unparsable(tmp_path, runner):
+    # a record the fixture lacks fails the run (FixtureMissError); it is never
+    # counted unparsable
     from causaltext.evaluation import parse_semeval
     from synth import _question_fingerprint
 
@@ -394,7 +484,6 @@ def test_eval_pairs_non_strict_miss_counts_unparsable(tmp_path, runner):
     records = parse_semeval(semeval_path.read_text(encoding="utf-8"))
     fixture = ReplayFixture(
         entries={_question_fingerprint(records[0]): ReplayEntry("<Answer>A</Answer>")},
-        strict=False,
     )
     fixture_path = tmp_path / "fixture.json"
     fixture.save(fixture_path)
@@ -405,9 +494,9 @@ def test_eval_pairs_non_strict_miss_counts_unparsable(tmp_path, runner):
         env=_env(tmp_path),
         catch_exceptions=False,
     )
-    assert result.exit_code == 0, result.output
-    assert "grid: [[1, 0], [0, 0]]" in result.output
-    assert "unparsable: 1" in result.output
+    assert result.exit_code == 1, result.output
+    assert "error: no fixture entry for fingerprint" in result.output
+    assert not (out / "pairwise_report.json").exists()
 
 
 def test_eval_pairs_scores_span_that_changes_length_when_lowercased(tmp_path, runner):
@@ -440,7 +529,7 @@ def test_eval_pairs_scores_span_that_changes_length_when_lowercased(tmp_path, ru
             f"<Answer>{answer}</Answer>"
         )
     fixture_path = tmp_path / "fixture.json"
-    ReplayFixture(entries=entries, strict=True).save(fixture_path)
+    ReplayFixture(entries=entries).save(fixture_path)
     out = tmp_path / "out"
     result = runner.invoke(
         main,
@@ -702,6 +791,104 @@ def test_lock_held_by_another_process_refuses_runs_until_it_dies(tmp_path, runne
     assert result.exit_code == 0, result.output
 
 
+def test_killed_run_resumes_paying_only_for_what_it_lacks(tmp_path, runner):
+    import threading
+    import time
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    from causaltext.gateway import cache_stats
+    from causaltext.prompts import RenderedPrompt
+
+    source_text, fixture = pipeline_document(12)  # C(12, 2) + 1 = 67 queries
+    served = threading.Event()  # the first run has had 10 replies
+    killed = threading.Event()  # until then, later requests wait unanswered
+    hits = {"/first": 0, "/rerun": 0}
+    lock = threading.Lock()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            texts = [message["content"] for message in body["messages"]]
+            prompt = RenderedPrompt.create(*([""] + texts)[-2:])
+            with lock:
+                hits[self.path] += 1
+                rank = hits[self.path]
+            if self.path == "/first" and rank > 10:
+                killed.wait(60)
+            time.sleep(0.02)
+            reply = fixture.entries[prompt.fingerprint].reply_text
+            data = json.dumps({"choices": [{"message": {"content": reply}}]}).encode()
+            try:
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+            except OSError:  # the client was killed
+                return
+            if self.path == "/first" and rank == 10:
+                served.set()
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    cache_dir = tmp_path / "cache"
+    package_root = str(Path(causaltext.__file__).resolve().parents[1])
+
+    def start(path: str, out: str) -> subprocess.Popen:
+        config_path = tmp_path / f"{out}.config.json"
+        config_path.write_text(json.dumps({
+            "endpoint": f"http://127.0.0.1:{server.server_address[1]}{path}",
+            "requests_per_minute": 1e9,
+        }), encoding="utf-8")
+        return subprocess.Popen(
+            [sys.executable, "-m", "causaltext.cli", "extract", "--parallelism", "4",
+             "--config", str(config_path), "--out", str(tmp_path / out), str(doc)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={**os.environ, "PYTHONPATH": package_root,
+                 "CAUSALTEXT_CACHE_DIR": str(cache_dir)},
+        )
+
+    processes = []
+    try:
+        processes.append(start("/first", "killed"))
+        assert served.wait(60), "the first run never got 10 replies"
+        processes[0].kill()
+        processes[0].wait(timeout=30)
+        killed.set()
+        cached = cache_stats(cache_dir)[0]
+        assert 1 <= cached <= 10
+
+        processes.append(start("/rerun", "resumed"))
+        output, _ = processes[1].communicate(timeout=120)
+        assert processes[1].returncode == 0, output
+        assert hits["/rerun"] == 67 - cached
+    finally:
+        killed.set()
+        for process in processes:
+            if process.poll() is None:
+                process.kill()
+            process.communicate()
+        server.shutdown()
+        server.server_close()
+
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    result = runner.invoke(
+        main,
+        ["extract", "--replay", str(fixture_path), "--out", str(tmp_path / "replayed"), str(doc)],
+        env={"CAUSALTEXT_CACHE_DIR": str(tmp_path / "clean_cache")},
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0, result.output
+    for suffix in (".graph.json", ".dot", ".cycles.json"):
+        replayed = (tmp_path / "replayed" / f"doc{suffix}").read_bytes()
+        assert replayed == (tmp_path / "resumed" / f"doc{suffix}").read_bytes(), suffix
+
+
 def test_cache_stats_fresh_directory(tmp_path, runner):
     result = runner.invoke(
         main, ["cache", "stats"], env=_env(tmp_path), catch_exceptions=False
@@ -926,7 +1113,7 @@ def test_settings_defaults_are_the_config_class_defaults(monkeypatch):
 
 
 def test_domain_hint_from_each_source_reaches_the_entity_prompt(tmp_path, runner):
-    # The strict fixture answers only the hinted entity prompt: a lost hint is
+    # The fixture answers only the hinted entity prompt: a lost hint is
     # a fixture miss and the document fails with exit 2.
     source_text, fixture = pipeline_document(4, domain_hint="diseases")
     fixture_path = tmp_path / "fixture.json"

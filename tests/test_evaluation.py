@@ -12,22 +12,21 @@ from causaltext.evaluation import (
     SemEvalRecord,
     compare_with_transitive_share,
     compute_report,
-    evaluate_graph_run,
     parse_semeval,
     render_confusion_table,
     run_pairwise_eval,
     write_semeval,
 )
+from causaltext.errors import FixtureMissError
 from causaltext.gateway import ReplayEntry, ReplayFixture
 from causaltext.graph import (
     Arc,
     CausalGraph,
-    CycleReport,
     Entity,
     GraphKind,
+    compare_graphs,
     flag_transitive_candidates,
 )
-from causaltext.pipeline import PipelineRun, RunStats
 from synth import _question_fingerprint, benchmark_with_scripted_replies
 
 TABLE_ROWS = [
@@ -206,7 +205,8 @@ def test_run_pairwise_eval_counts_by_roles(gateway_factory):
     gateway, _ = gateway_factory(fixture)
     report = run_pairwise_eval(records, gateway)
     assert report.confusion.grid == ((2, 1), (0, 1))
-    assert report.confusion.record_total == 4
+    confusion = report.confusion
+    assert confusion.grid_total + confusion.abstained + confusion.unparsable == 4
 
 
 def test_run_pairwise_eval_tracks_abstentions_and_unparsable(gateway_factory):
@@ -223,17 +223,16 @@ def test_run_pairwise_eval_tracks_abstentions_and_unparsable(gateway_factory):
     assert report.confusion.abstained == 1
     assert report.confusion.unparsable == 1
     assert report.confusion.grid_total == 2
-    assert report.confusion.record_total == 4
+    confusion = report.confusion
+    assert confusion.grid_total + confusion.abstained + confusion.unparsable == 4
 
 
 def test_run_pairwise_eval_non_strict_miss_counts_unparsable(gateway_factory):
+    # a record the fixture lacks fails the evaluation; it is never counted unparsable
     records = parse_semeval(reference_file())
-    fixture = _fixture_for(records[:3], ["A", "B", "A"])
-    fixture.strict = False
-    gateway, _ = gateway_factory(fixture)
-    report = run_pairwise_eval(records, gateway)
-    assert report.confusion.unparsable == 1
-    assert report.confusion.grid == ((2, 0), (0, 1))
+    gateway, _ = gateway_factory(_fixture_for(records[:3], ["A", "B", "A"]))
+    with pytest.raises(FixtureMissError):
+        run_pairwise_eval(records, gateway)
 
 
 def test_run_pairwise_eval_handles_reversed_tag_order(gateway_factory):
@@ -284,7 +283,8 @@ def test_run_pairwise_eval_full_scripted_benchmark(gateway_factory):
     assert report.confusion.grid == ((335, 7), (6, 650))
     assert report.confusion.abstained == 5
     assert report.confusion.unparsable == 0
-    assert report.confusion.record_total == 1003
+    confusion = report.confusion
+    assert confusion.grid_total + confusion.abstained + confusion.unparsable == 1003
 
 
 def test_run_pairwise_eval_inline_equals_pooled(gateway_factory):
@@ -301,7 +301,7 @@ def test_run_pairwise_eval_inline_equals_pooled(gateway_factory):
 # --- graph evaluation -----------------------------------------------------------------
 
 
-def _shortcut_run() -> PipelineRun:
+def _shortcut_graph() -> CausalGraph:
     entities = [Entity(id=i, canonical_label=i, first_offset=n)
                 for n, i in enumerate("abc")]
     graph = CausalGraph(
@@ -310,15 +310,7 @@ def _shortcut_run() -> PipelineRun:
         [Arc("a", "b"), Arc("b", "c"), Arc("a", "c")],
     )
     flag_transitive_candidates(graph)
-    return PipelineRun(
-        entities=tuple(entities),
-        verdicts={},
-        graph=graph,
-        cycle_report=CycleReport(()),
-        transitive_arcs=(),
-        removed_arcs=(),
-        stats=RunStats(3, 0, 0, 0, 0.0, 0.0, 0.0),
-    )
+    return graph
 
 
 def _truth_ab_bc() -> CausalGraph:
@@ -327,29 +319,22 @@ def _truth_ab_bc() -> CausalGraph:
 
 
 def test_evaluate_graph_run_shortcut_pattern():
-    comparison = evaluate_graph_run(_shortcut_run(), _truth_ab_bc())
+    comparison = compare_graphs(_shortcut_graph(), _truth_ab_bc())
     assert comparison.precision == Fraction(2, 3)
     assert comparison.recall == 1
     assert comparison.transitive_fp_share == 1
 
 
 def test_evaluate_graph_run_perfect_extraction_share_undefined():
-    run = _shortcut_run()
     entities = [Entity(id=i, canonical_label=i) for i in "abc"]
     truth = CausalGraph(
         GraphKind.GROUND_TRUTH, entities,
         [Arc("a", "b"), Arc("b", "c"), Arc("a", "c")],
     )
-    comparison = evaluate_graph_run(run, truth)
+    comparison = compare_graphs(_shortcut_graph(), truth)
     assert comparison.precision == 1
     assert comparison.recall == 1
     assert comparison.transitive_fp_share is None
-
-
-def test_evaluate_graph_run_requires_ground_truth_kind():
-    run = _shortcut_run()
-    with pytest.raises(ValueError):
-        evaluate_graph_run(run, run.graph)
 
 
 def test_transitive_share_counts_only_flagged_false_positives():

@@ -58,15 +58,9 @@ def test_replay_hit_returns_fixture_reply_with_zero_latency():
 
 
 def test_replay_strict_miss_raises():
-    gateway = Gateway(ProviderConfig(), ReplayTransport(ReplayFixture(strict=True)))
+    gateway = Gateway(ProviderConfig(), ReplayTransport(ReplayFixture()))
     with pytest.raises(FixtureMissError):
         gateway.complete(prompt_for("unknown"))
-
-
-def test_replay_non_strict_miss_yields_empty_reply():
-    gateway = Gateway(ProviderConfig(), ReplayTransport(ReplayFixture(strict=False)))
-    exchange = gateway.complete(prompt_for("unknown"))
-    assert exchange.reply_text == ""
 
 
 def test_replay_uses_synthetic_latency_from_fixture():
@@ -81,17 +75,17 @@ def test_replay_uses_synthetic_latency_from_fixture():
 
 def test_fixture_add_round_trip(tmp_path):
     exchanges = [
-        ChatExchange(prompt_for("q1"), "reply one", "m", 1.25, ExchangeSource.LIVE),
-        ChatExchange(prompt_for("q2"), "reply étwo", "m", 0.5, ExchangeSource.LIVE),
-        ChatExchange(prompt_for("q1"), "reply one", "m", 9.0, ExchangeSource.LIVE),
+        ChatExchange(prompt_for("q1"), "reply one", 1.25, ExchangeSource.LIVE),
+        ChatExchange(prompt_for("q2"), "reply étwo", 0.5, ExchangeSource.LIVE),
+        ChatExchange(prompt_for("q1"), "reply one", 9.0, ExchangeSource.LIVE),
     ]
     fixture = ReplayFixture()
     for exchange in exchanges:
         fixture.add(exchange)
     path = tmp_path / "fixture.json"
     fixture.save(path)
+    assert "strict" not in json.loads(path.read_text(encoding="utf-8"))
     loaded = ReplayFixture.load(path)
-    assert loaded.strict is True
     assert set(loaded.entries) == {e.prompt.fingerprint for e in exchanges}
     for exchange in exchanges[:2]:
         assert loaded.entries[exchange.prompt.fingerprint].reply_text == exchange.reply_text
@@ -100,9 +94,9 @@ def test_fixture_add_round_trip(tmp_path):
 def test_fixture_add_empty_and_conflicting():
     assert ReplayFixture().entries == {}
     fixture = ReplayFixture()
-    fixture.add(ChatExchange(prompt_for("q"), "one", "m", 0.0, ExchangeSource.LIVE))
+    fixture.add(ChatExchange(prompt_for("q"), "one", 0.0, ExchangeSource.LIVE))
     with pytest.raises(DuplicateFingerprintError):
-        fixture.add(ChatExchange(prompt_for("q"), "two", "m", 0.0, ExchangeSource.LIVE))
+        fixture.add(ChatExchange(prompt_for("q"), "two", 0.0, ExchangeSource.LIVE))
 
 
 def test_fixture_load_rejects_garbage(tmp_path):
@@ -124,12 +118,11 @@ def test_gateway_records_transport_replies_and_cache_hits(provider_config):
     assert record.entries == source.entries
 
     # a warm gateway over the same cache records without any transport call:
-    # its strict fixture is empty, so a miss would raise
+    # its fixture is empty, so a miss would raise
     warm_record = ReplayFixture()
-    warm = Gateway(provider_config, ReplayTransport(ReplayFixture(strict=True)), warm_record)
+    warm = Gateway(provider_config, ReplayTransport(ReplayFixture()), warm_record)
     exchange = warm.cached_complete(prompt_for("q1"))
     assert exchange.source is ExchangeSource.CACHE
-    assert exchange.model_name == provider_config.model_name
     # the cached latency is recorded, so a replay reproduces the timing stats
     assert warm_record.entries == {prompt_for("q1").fingerprint: ReplayEntry("first", 1.5)}
 
@@ -176,7 +169,6 @@ def _live_config(server, **overrides) -> ProviderConfig:
         endpoint_url=f"http://127.0.0.1:{server.server_address[1]}/chat",
         backoff_base=0.0,
         requests_per_minute=1e9,
-        request_timeout=5.0,
         max_retries=3,
     )
     defaults.update(overrides)
@@ -288,6 +280,8 @@ def test_cache_key_discriminates_model_and_temperature(tmp_path):
     gateway_a.cached_complete(prompt)
     gateway_b, transport_b = _cached_gateway(tmp_path, ["from b"], model_name="model-b")
     assert gateway_b.cached_complete(prompt).reply_text == "from b"
+    entry_b = _cache_path(gateway_b.config.cache_dir, _cache_key(gateway_b.config, prompt))
+    assert json.loads(entry_b.read_text(encoding="utf-8"))["model_name"] == "model-b"
     gateway_c, transport_c = _cached_gateway(
         tmp_path, ["from c"], model_name="model-a", temperature=1.0
     )
@@ -475,7 +469,7 @@ def test_live_connection_error_is_retried_then_provider_unavailable(monkeypatch)
     calls = []
 
     def reset(url, **kwargs):
-        calls.append(url)
+        calls.append(kwargs["timeout"])
         raise requests.ConnectionError("connection reset")
 
     monkeypatch.setattr(requests, "post", reset)
@@ -483,18 +477,18 @@ def test_live_connection_error_is_retried_then_provider_unavailable(monkeypatch)
     gateway = Gateway(config, LiveTransport(config))
     with pytest.raises(ProviderUnavailableError, match="gave up after 3 attempts"):
         gateway.complete(prompt_for("q"))
-    assert len(calls) == 3
+    assert calls == [60.0] * 3  # each attempt waits at most 60 s
 
 
 def test_chat_exchange_rejects_negative_latency():
     with pytest.raises(ValueError):
-        ChatExchange(prompt_for("q"), "r", "m", -1.0, ExchangeSource.LIVE)
+        ChatExchange(prompt_for("q"), "r", -1.0, ExchangeSource.LIVE)
 
 
 @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
 def test_chat_exchange_rejects_non_finite_latency(latency):
     with pytest.raises(ValueError):
-        ChatExchange(prompt_for("q"), "r", "m", latency, ExchangeSource.LIVE)
+        ChatExchange(prompt_for("q"), "r", latency, ExchangeSource.LIVE)
 
 
 def test_gateway_sends_nothing_after_an_auth_error(tmp_path):
@@ -512,14 +506,13 @@ def test_gateway_sends_nothing_after_an_auth_error(tmp_path):
 
 def test_empty_reply_is_returned_but_never_cached(tmp_path):
     config = ProviderConfig(cache_dir=tmp_path / "cache")
-    prompt = prompt_for("a question the fixture lacks")
-    replay = Gateway(config, ReplayTransport(ReplayFixture(strict=False)))
-    assert replay.cached_complete(prompt).reply_text == ""
+    prompt = prompt_for("a question the provider answers with nothing")
+    transport = CountingTransport(ScriptedTransport(["", "<Answer>A</Answer>"]))
+    live = Gateway(config, transport)
+    assert live.cached_complete(prompt).reply_text == ""
     assert cache_stats(config.cache_dir)[0] == 0
 
-    transport = CountingTransport(ScriptedTransport(["<Answer>A</Answer>"]))
-    live = Gateway(config, transport)
     exchange = live.cached_complete(prompt)
     assert (exchange.source, exchange.reply_text) == (ExchangeSource.LIVE, "<Answer>A</Answer>")
-    assert transport.calls == 1
+    assert transport.calls == 2
     assert live.cached_complete(prompt).source is ExchangeSource.CACHE

@@ -1,8 +1,29 @@
-"""The package's public surface: every exported name must import."""
+"""The package's public surface: every exported name must import, and the
+README's file-format examples must load."""
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import causaltext
+from causaltext.gateway import ReplayFixture
+from causaltext.graph import parse_graph
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _load_fixture(text: str, tmp_path: Path) -> None:
+    path = tmp_path / "fixture.json"
+    path.write_text(text, encoding="utf-8")
+    ReplayFixture.load(path)
+
+
+# README section heading -> the loader of its JSON example
+README_LOADERS = {
+    "Structured graph file": lambda text, tmp_path: parse_graph(text),
+    "Replay fixture": _load_fixture,
+}
 
 
 def test_every_exported_name_resolves_once():
@@ -15,3 +36,13 @@ def test_star_import_succeeds():
     namespace: dict = {}
     exec("from causaltext import *", namespace)
     assert set(causaltext.__all__) <= namespace.keys()
+
+
+def test_every_readme_json_example_loads(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    sections = []
+    for block in re.finditer(r"^```json\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
+        section = re.findall(r"^\*\*(.+?)\*\*", text[:block.start()], re.MULTILINE)[-1]
+        README_LOADERS[section](block.group(1), tmp_path)
+        sections.append(section)
+    assert sorted(sections) == sorted(README_LOADERS)

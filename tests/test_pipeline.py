@@ -426,7 +426,6 @@ def test_run_pipeline_reports_completed_stage_on_failure(gateway_factory):
     entity_prompt = render_entity_prompt(source_text, "")
     only_entities = ReplayFixture(
         entries={entity_prompt.fingerprint: fixture.entries[entity_prompt.fingerprint]},
-        strict=True,
     )
     gateway, _ = gateway_factory(only_entities)
     with pytest.raises(PipelineStageError) as excinfo:
@@ -436,7 +435,7 @@ def test_run_pipeline_reports_completed_stage_on_failure(gateway_factory):
 
 
 def test_run_pipeline_failure_before_any_stage(gateway_factory):
-    gateway, _ = gateway_factory(ReplayFixture(strict=True))
+    gateway, _ = gateway_factory(ReplayFixture())
     with pytest.raises(PipelineStageError) as excinfo:
         run_pipeline("some document text", "", PipelineConfig(), gateway)
     assert excinfo.value.completed_stage is None
@@ -459,8 +458,8 @@ def test_run_pipeline_stops_spending_after_a_fatal_error(tmp_path):
             raise self.error("provider refused the orientation query (not retryable)")
 
     def refusing_transport(error):
-        if error is FixtureMissError:  # a strict replay that holds only the entity reply
-            return ReplayTransport(ReplayFixture(entity_only, strict=True))
+        if error is FixtureMissError:  # a replay that holds only the entity reply
+            return ReplayTransport(ReplayFixture(entity_only))
         return RefuseOrientation(error)
 
     for error in (AuthError, ProviderUnavailableError, FixtureMissError):
