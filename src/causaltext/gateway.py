@@ -98,7 +98,7 @@ class ChatExchange:
     retries: int = 0
 
     def __post_init__(self) -> None:
-        _checked_latency(self.latency)
+        object.__setattr__(self, "latency", _checked_latency(self.latency))
 
 
 def _checked_latency(value: object) -> float:
@@ -296,9 +296,9 @@ def _cache_key(config: ProviderConfig, prompt: RenderedPrompt) -> str:
     return f"{prompt.fingerprint}|{config.model_name}|{config.temperature!r}"
 
 
-def _cache_path(cache_dir: Path, key: str) -> Path:
+def _cache_path(cache_dir: str | Path, key: str) -> str:
     name = hashlib.sha256(key.encode("utf-8")).hexdigest()
-    return cache_dir / f"{name}.json"
+    return os.path.join(cache_dir, f"{name}.json")
 
 
 def _checksum(reply_text: str) -> str:
@@ -323,6 +323,7 @@ class Gateway:
         self._config = config
         self._transport = transport
         self._record = record
+        self._cache_dir = os.fspath(config.cache_dir)
         self._key_locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
         self._locks_guard = threading.Lock()
         self._auth_error: AuthError | None = None
@@ -370,16 +371,18 @@ class Gateway:
 
         The cache key includes model name and temperature, and a replay
         transport's keys carry a ``replay|`` prefix, so a fixture's reply
-        never answers a live run. A corrupt entry
-        (bad JSON or checksum mismatch) is logged and treated as a miss.
-        Writes are atomic and serialized per key, so concurrent callers of
-        the same prompt trigger at most one provider call. An empty live
-        completion is returned but never cached, so a later run asks again.
+        never answers a live run. A hit is read as bytes and parsed once; a
+        corrupt entry (bytes that are not UTF-8 JSON, a wrong key, a checksum
+        mismatch or a bad latency) is logged and treated as a miss, and the
+        refetched reply overwrites it. Writes are atomic and serialized per
+        key, so concurrent callers of the same prompt trigger at most one
+        provider call. An empty live completion is returned but never cached,
+        so a later run asks again.
         """
         key = _cache_key(self._config, prompt)
         if self._transport.source is ExchangeSource.REPLAY:
             key = f"replay|{key}"
-        path = _cache_path(self._config.cache_dir, key)
+        path = _cache_path(self._cache_dir, key)
         exchange = self._read_cache_entry(path, key, prompt)
         if exchange is None:
             with self._locks_guard:
@@ -396,34 +399,29 @@ class Gateway:
         return exchange
 
     def _read_cache_entry(
-        self, path: Path, key: str, prompt: RenderedPrompt
+        self, path: str, key: str, prompt: RenderedPrompt
     ) -> ChatExchange | None:
         try:
-            raw = path.read_text(encoding="utf-8")
+            with open(path, "rb", buffering=0) as handle:
+                raw = handle.read()
         except FileNotFoundError:
             return None
         except OSError as exc:
             log.warning("cache entry %s unreadable (%s); treating as miss", path, exc)
             return None
         try:
-            record = json.loads(raw)
+            record = json.loads(raw.decode("utf-8"))
             reply = record["reply_text"]
             if not isinstance(reply, str):
                 raise ValueError("reply_text is not a string")
             if record["key"] != key or record["checksum"] != _checksum(reply):
                 raise ValueError("checksum or key mismatch")
-            latency = _checked_latency(record["latency"])
+            return ChatExchange(prompt, reply, record["latency"], ExchangeSource.CACHE)
         except (ValueError, KeyError, TypeError):
             log.warning("cache entry %s corrupt; treating as miss", path)
             return None
-        return ChatExchange(
-            prompt=prompt,
-            reply_text=reply,
-            latency=latency,
-            source=ExchangeSource.CACHE,
-        )
 
-    def _write_cache_entry(self, path: Path, key: str, exchange: ChatExchange) -> None:
+    def _write_cache_entry(self, path: str, key: str, exchange: ChatExchange) -> None:
         record = {
             "key": key,
             "fingerprint": exchange.prompt.fingerprint,
@@ -433,11 +431,10 @@ class Gateway:
             "latency": exchange.latency,
             "checksum": _checksum(exchange.reply_text),
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        scratch = path.with_suffix(".tmp")
-        scratch.write_text(
-            json.dumps(record, indent=2, ensure_ascii=False), encoding="utf-8"
-        )
+        os.makedirs(self._cache_dir, exist_ok=True)
+        scratch = os.path.splitext(path)[0] + ".tmp"
+        with open(scratch, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, indent=2, ensure_ascii=False))
         os.replace(scratch, path)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib.resources import files
+from string import Formatter
 
 from .errors import EmptyTextError, EntityNotInTextError, NoEntitiesFoundError
 from .graph import Entity, normalize_label
@@ -116,14 +117,64 @@ class OrientationQuestion:
         return (self.entity_a.id, self.entity_b.id)
 
 
+def _fields(format_string: str) -> list[str]:
+    return [name for _, name, _, _ in Formatter().parse(format_string) if name is not None]
+
+
+@lru_cache(maxsize=None)
+def _orientation_template() -> tuple[str, str]:
+    """The orientation template split at its one ``{source_text}`` field.
+
+    Gives the literal text before the field and the format string after it,
+    whose only fields are ``entity_a`` and ``entity_b``. Any other template
+    raises :class:`ValueError` rather than render a different prompt.
+    """
+    head, marker, tail = _template("orientation.txt").partition("{source_text}")
+    try:
+        valid = (
+            bool(marker)
+            and not _fields(head)
+            and set(_fields(tail)) <= {"entity_a", "entity_b"}
+        )
+    except ValueError:  # a lone brace
+        valid = False
+    if not valid:
+        raise ValueError(
+            "the orientation template must hold {source_text} exactly once, with "
+            "entity_a and entity_b as its only other fields, all after it"
+        )
+    return head.format(), tail
+
+
+@lru_cache(maxsize=4)
+def _orientation_head(source_text: str) -> tuple[str, hashlib._Hash]:
+    """The prompt up to the end of the text, and its fingerprint state.
+
+    The state has hashed the empty system text, the separator and the head;
+    callers ``copy()`` it and never update it, so threads can share it.
+    """
+    head = _orientation_template()[0] + source_text
+    digest = hashlib.sha256(b"\x1f")
+    digest.update(head.encode("utf-8"))
+    return head, digest
+
+
 def render_orientation_prompt(question: OrientationQuestion) -> RenderedPrompt:
-    """Render the three-option orientation prompt for one entity pair."""
-    user_text = _template("orientation.txt").format(
-        source_text=question.source_text,
+    """Render the three-option orientation prompt for one entity pair.
+
+    The prompt head (template prefix plus source text) and its hash are built
+    once per text and kept in a small bounded memo, so each pair formats and
+    hashes only the entity tail. The result, fingerprint included, equals
+    ``RenderedPrompt.create("", template.format(...))``.
+    """
+    head, head_digest = _orientation_head(question.source_text)
+    tail = _orientation_template()[1].format(
         entity_a=question.entity_a.canonical_label,
         entity_b=question.entity_b.canonical_label,
     )
-    return RenderedPrompt.create("", user_text)
+    digest = head_digest.copy()
+    digest.update(tail.encode("utf-8"))
+    return RenderedPrompt("", head + tail, digest.hexdigest())
 
 
 def render_reask_prompt(prior: RenderedPrompt) -> RenderedPrompt:

@@ -389,6 +389,38 @@ def test_replayed_cache_never_answers_a_live_run(tmp_path, runner, monkeypatch):
         assert replayed == (tmp_path / "live" / f"doc{suffix}").read_bytes(), suffix
 
 
+def test_undecodable_cache_entry_is_refetched_and_the_batch_completes(tmp_path, runner):
+    entries = {}
+    docs = []
+    for index, size in enumerate((6, 4)):
+        source_text, fixture = pipeline_document(size)
+        entries.update(fixture.entries)
+        doc = tmp_path / f"doc{index}.txt"
+        doc.write_text(source_text, encoding="utf-8")
+        docs.append(str(doc))
+    fixture_path = tmp_path / "fixture.json"
+    ReplayFixture(entries=entries).save(fixture_path)
+
+    def extract(out: str):
+        return runner.invoke(
+            main,
+            ["extract", "--replay", str(fixture_path), "--out", str(tmp_path / out), *docs],
+            env=_env(tmp_path),
+            catch_exceptions=False,
+        )
+
+    assert extract("warm").exit_code == 0
+    entry = sorted((tmp_path / "cache").glob("*.json"))[0]
+    entry.write_bytes(b"\xff\xfe\x00garbage")
+    result = extract("out")
+    assert result.exit_code == 0, result.output
+    for name in ("doc0", "doc1"):
+        for suffix in OUTPUT_SUFFIXES:
+            written = (tmp_path / "out" / f"{name}{suffix}").read_bytes()
+            assert written == (tmp_path / "warm" / f"{name}{suffix}").read_bytes()
+    assert json.loads(entry.read_text(encoding="utf-8"))["reply_text"]
+
+
 def test_unreadable_input_fails_alone(tmp_path, runner):
     source_text, fixture = pipeline_document(4)
     fixture_path = tmp_path / "fixture.json"

@@ -4,6 +4,7 @@ import json
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
@@ -280,7 +281,7 @@ def test_cache_key_discriminates_model_and_temperature(tmp_path):
     gateway_a.cached_complete(prompt)
     gateway_b, transport_b = _cached_gateway(tmp_path, ["from b"], model_name="model-b")
     assert gateway_b.cached_complete(prompt).reply_text == "from b"
-    entry_b = _cache_path(gateway_b.config.cache_dir, _cache_key(gateway_b.config, prompt))
+    entry_b = Path(_cache_path(gateway_b.config.cache_dir, _cache_key(gateway_b.config, prompt)))
     assert json.loads(entry_b.read_text(encoding="utf-8"))["model_name"] == "model-b"
     gateway_c, transport_c = _cached_gateway(
         tmp_path, ["from c"], model_name="model-a", temperature=1.0
@@ -319,7 +320,7 @@ def test_cache_corrupt_entry_treated_as_miss(tmp_path, caplog):
     gateway, transport = _cached_gateway(tmp_path, ["one", "two", "three"])
     prompt = prompt_for("q")
     gateway.cached_complete(prompt)
-    path = _cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt))
+    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
     path.write_text("{ truncated", encoding="utf-8")
     with caplog.at_level("WARNING"):
         exchange = gateway.cached_complete(prompt)
@@ -340,11 +341,27 @@ def test_cache_corrupt_entry_treated_as_miss(tmp_path, caplog):
     assert any("corrupt" in record.message for record in caplog.records)
 
 
+def test_cache_entry_that_is_not_utf8_is_refetched_and_rewritten(tmp_path, caplog):
+    gateway, transport = _cached_gateway(tmp_path, ["one", "two"])
+    prompt = prompt_for("q")
+    gateway.cached_complete(prompt)
+    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    with caplog.at_level("WARNING"):
+        exchange = gateway.cached_complete(prompt)
+    assert exchange.reply_text == "two"
+    assert transport.calls == 2
+    assert any("corrupt" in record.message for record in caplog.records)
+    assert json.loads(path.read_text(encoding="utf-8"))["reply_text"] == "two"
+    assert gateway.cached_complete(prompt).source is ExchangeSource.CACHE
+    assert transport.calls == 2
+
+
 def test_cache_checksum_mismatch_treated_as_miss(tmp_path):
     gateway, transport = _cached_gateway(tmp_path, ["one", "two"])
     prompt = prompt_for("q")
     gateway.cached_complete(prompt)
-    path = _cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt))
+    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
     record = json.loads(path.read_text(encoding="utf-8"))
     record["reply_text"] = "tampered"
     path.write_text(json.dumps(record), encoding="utf-8")
@@ -357,7 +374,7 @@ def test_cache_entry_with_bad_latency_treated_as_miss(tmp_path, caplog, latency)
     gateway, transport = _cached_gateway(tmp_path, ["one", "two"])
     prompt = prompt_for("q")
     gateway.cached_complete(prompt)
-    path = _cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt))
+    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
     record = json.loads(path.read_text(encoding="utf-8"))
     record["latency"] = latency
     path.write_text(json.dumps(record), encoding="utf-8")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import string
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from causaltext import evaluation, prompts
 from causaltext.errors import EmptyTextError, EntityNotInTextError, NoEntitiesFoundError
-from causaltext.graph import Entity
+from causaltext.graph import Entity, normalize_label
 from causaltext.pipeline import enumerate_pairs
 from causaltext.prompts import (
     OrientationQuestion,
@@ -125,6 +128,116 @@ def test_reask_prompt_appends_reminder_and_changes_fingerprint():
     assert "<Answer>A</Answer>" in reask.user_text
     assert reask.fingerprint != prompt.fingerprint
     assert render_reask_prompt(prompt) == reask
+
+
+def _whole_template_render(question: OrientationQuestion) -> RenderedPrompt:
+    """The orientation prompt by its definition: one ``format`` of the whole template."""
+    return RenderedPrompt.create("", prompts._template("orientation.txt").format(
+        source_text=question.source_text,
+        entity_a=question.entity_a.canonical_label,
+        entity_b=question.entity_b.canonical_label,
+    ))
+
+
+def _entity(label: str) -> Entity:
+    return Entity(id=label, canonical_label=label)
+
+
+_TRICKY = st.sampled_from(
+    ["{", "}", "{{", "%", "%s", "{entity_a}", "{source_text}", "é", "\U0001f600", "\r\n", " "]
+)
+_source_texts = st.lists(st.one_of(st.text(max_size=8), _TRICKY), max_size=12).map("".join)
+_labels = (
+    st.lists(st.one_of(st.text(max_size=5), st.sampled_from(["{", "}", '"', "'", "{entity_b}"])),
+             min_size=1, max_size=4)
+    .map(lambda parts: normalize_label("".join(parts)))
+    .filter(bool)
+)
+_MEMO_SIZE = prompts._orientation_head.cache_info().maxsize
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    texts=st.lists(_source_texts, min_size=_MEMO_SIZE + 1, max_size=_MEMO_SIZE + 3, unique=True),
+    pairs=st.lists(st.tuples(_labels, _labels).filter(lambda p: p[0] != p[1]),
+                   min_size=1, max_size=3),
+)
+def test_orientation_render_equals_one_format_of_the_whole_template(texts, pairs):
+    # texts interleave and outnumber the memo, so its entries are evicted and rebuilt
+    for label_a, label_b in pairs:
+        for text in texts:
+            question = OrientationQuestion(text, _entity(label_a), _entity(label_b))
+            assert render_orientation_prompt(question) == _whole_template_render(question)
+
+
+def test_orientation_render_from_four_threads_at_once():
+    # a text past 2 KB, so the shared hash state has the lock hashlib takes for long inputs
+    text = " ".join([COBALT_SENTENCE] * 30) + " Threads {share} this text."
+    question = OrientationQuestion(text, _entity("fume"), _entity("dust"))
+    expected = _whole_template_render(question)
+    prompts._orientation_head.cache_clear()
+    barrier = threading.Barrier(4, timeout=10)
+
+    def render_many(_):
+        barrier.wait()
+        return [render_orientation_prompt(question) for _ in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            batches = list(pool.map(render_many, range(4), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    results = [prompt for batch in batches for prompt in batch]
+    assert len(results) == 800
+    assert all(prompt == expected for prompt in results)
+
+
+def test_orientation_template_holds_the_text_once_and_only_entity_fields():
+    template = prompts._template("orientation.txt")
+    fields = [name for _, name, _, _ in string.Formatter().parse(template) if name is not None]
+    assert fields.count("source_text") == 1
+    assert set(fields) == {"source_text", "entity_a", "entity_b"}
+    assert "{entity_" not in template.partition("{source_text}")[0]
+
+
+@pytest.fixture
+def orientation_template(monkeypatch):
+    """Render with a stand-in orientation template; the memos are rebuilt around it."""
+
+    def use(template: str) -> None:
+        monkeypatch.setattr(prompts, "_template", lambda name: template)
+        prompts._orientation_template.cache_clear()
+        prompts._orientation_head.cache_clear()
+
+    yield use
+    prompts._orientation_template.cache_clear()
+    prompts._orientation_head.cache_clear()
+
+
+@pytest.mark.parametrize("template", [
+    "no text here: {entity_a} {entity_b}",
+    "{source_text} and again {source_text}",
+    "{entity_a} precedes {source_text}",
+    "{source_text} {entity_a} {other}",
+    "{source_text} {entity_a} {0}",
+    "{source_text!r} {entity_a}",
+    "{{source_text}} {entity_a}",
+    "{source_text} {entity_a.upper}",
+])
+def test_an_orientation_template_that_cannot_be_split_raises(orientation_template, template):
+    orientation_template(template)
+    with pytest.raises(ValueError, match=r"\{source_text\} exactly once"):
+        render_orientation_prompt(cobalt_question())
+
+
+def test_a_template_with_escaped_braces_renders_as_formatted(orientation_template):
+    orientation_template("{{{source_text}}} <{entity_a!r}> {{{entity_b}}}")
+    question = cobalt_question()
+    assert render_orientation_prompt(question) == RenderedPrompt.create(
+        "", "{" + COBALT_SENTENCE + "} <'fume'> {sensitization}"
+    )
 
 
 # --- verdict parsing ----------------------------------------------------------
