@@ -18,7 +18,7 @@ from typing import Iterator
 
 import click
 
-from .errors import CausalTextError, RunLockHeldError
+from .errors import CausalTextError
 from .evaluation import (
     parse_semeval,
     render_confusion_table,
@@ -154,15 +154,23 @@ def _resolve_settings(config_path=None, replay=None, record=None, **flags) -> Se
 def _run_session(settings: Settings) -> Iterator[Gateway]:
     """The gateway of one ``extract`` or ``eval-pairs`` run, under the run lock.
 
-    The replay fixture is loaded before the lock is taken. The record fixture
-    is saved inside the lock, however the run ends, so a refused run never
-    touches the record file and a failed one keeps what it paid for.
+    The replay fixture is loaded, and a record path whose directory does not
+    exist refused, before the lock is taken and before any query. The record
+    fixture is saved inside the lock, however the run ends, so a refused run
+    never touches the record file and a failed one keeps what it paid for.
     """
+    record = None
+    if settings.record_path:
+        record_dir = Path(settings.record_path).parent
+        if not record_dir.is_dir():
+            raise ConfigurationError(
+                f"cannot record to {settings.record_path}: {record_dir} is not a directory"
+            )
+        record = ReplayFixture()
     if settings.replay_path:
         transport = ReplayTransport(ReplayFixture.load(settings.replay_path))
     else:
         transport = LiveTransport(settings.provider)
-    record = ReplayFixture() if settings.record_path else None
     with run_lock(settings.provider.cache_dir):
         try:
             yield Gateway(settings.provider, transport, record)
@@ -335,7 +343,7 @@ def cache(action, **options) -> None:
         return
     try:
         removed = clear_cache(cache_dir)
-    except RunLockHeldError as exc:
+    except CausalTextError as exc:
         _fail(str(exc))
     click.echo(f"removed: {removed}")
 

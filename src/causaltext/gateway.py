@@ -21,7 +21,6 @@ import os
 import random
 import threading
 import time
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -138,15 +137,19 @@ class ReplayFixture:
             )
 
     def save(self, path: Path | str) -> None:
+        """Write the fixture; a file error raises :class:`GatewayError`."""
         payload = {
             "entries": {
                 fingerprint: {"reply": entry.reply_text, "latency": entry.latency}
                 for fingerprint, entry in sorted(self.entries.items())
             },
         }
-        Path(path).write_text(
-            json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        try:
+            Path(path).write_text(
+                json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            raise GatewayError(f"cannot save replay fixture {path}: {exc}") from None
 
     @classmethod
     def load(cls, path: Path | str) -> "ReplayFixture":
@@ -324,7 +327,8 @@ class Gateway:
         self._transport = transport
         self._record = record
         self._cache_dir = os.fspath(config.cache_dir)
-        self._key_locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
+        # key -> [lock, callers holding or awaiting it]; only keys with a miss in flight
+        self._key_locks: dict[str, list] = {}
         self._locks_guard = threading.Lock()
         self._auth_error: AuthError | None = None
 
@@ -376,8 +380,9 @@ class Gateway:
         mismatch or a bad latency) is logged and treated as a miss, and the
         refetched reply overwrites it. Writes are atomic and serialized per
         key, so concurrent callers of the same prompt trigger at most one
-        provider call. An empty live completion is returned but never cached,
-        so a later run asks again.
+        provider call; a key's lock is dropped once no caller holds or awaits
+        it. An empty completion, or one whose cache write fails (logged), is
+        returned and recorded but not cached, so a later run asks again.
         """
         key = _cache_key(self._config, prompt)
         if self._transport.source is ExchangeSource.REPLAY:
@@ -385,9 +390,7 @@ class Gateway:
         path = _cache_path(self._cache_dir, key)
         exchange = self._read_cache_entry(path, key, prompt)
         if exchange is None:
-            with self._locks_guard:
-                lock = self._key_locks[key]
-            with lock:
+            with self._key_lock(key):
                 exchange = self._read_cache_entry(path, key, prompt)
                 if exchange is None:
                     exchange = self.complete(prompt)
@@ -397,6 +400,21 @@ class Gateway:
             with self._locks_guard:
                 self._record.add(exchange)
         return exchange
+
+    @contextmanager
+    def _key_lock(self, key: str) -> Iterator[None]:
+        """Hold ``key``'s lock; its table entry lives while a caller holds or awaits it."""
+        with self._locks_guard:
+            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._locks_guard:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[key]
 
     def _read_cache_entry(
         self, path: str, key: str, prompt: RenderedPrompt
@@ -431,11 +449,14 @@ class Gateway:
             "latency": exchange.latency,
             "checksum": _checksum(exchange.reply_text),
         }
-        os.makedirs(self._cache_dir, exist_ok=True)
         scratch = os.path.splitext(path)[0] + ".tmp"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, indent=2, ensure_ascii=False))
-        os.replace(scratch, path)
+        try:
+            os.makedirs(self._cache_dir, exist_ok=True)
+            with open(scratch, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(record, indent=2, ensure_ascii=False))
+            os.replace(scratch, path)
+        except OSError as exc:
+            log.warning("cache entry %s not written (%s); a later run asks again", path, exc)
 
 
 @contextmanager
@@ -444,12 +465,18 @@ def run_lock(cache_dir: Path | str) -> Iterator[None]:
 
     The lock is an ``flock`` on ``.runlock``, so the OS releases it when the
     holder exits, however it exits. The file is never unlinked: a run that
-    reopened a fresh file could lock a different inode than its peers.
+    reopened a fresh file could lock a different inode than its peers. A
+    directory or lock file that cannot be made or opened (say, the cache
+    directory names a regular file) raises :class:`GatewayError`; a lock held
+    elsewhere raises :class:`RunLockHeldError`.
     """
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    lock_path = cache_dir / RUN_LOCK_NAME
-    with open(lock_path, "a") as handle:
+    lock_path = Path(cache_dir) / RUN_LOCK_NAME
+    try:
+        lock_path.parent.mkdir(parents=True, exist_ok=True)
+        handle = open(lock_path, "a")
+    except OSError as exc:
+        raise GatewayError(f"cannot open run lock {lock_path}: {exc}") from None
+    with handle:
         try:
             fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:

@@ -259,32 +259,18 @@ def flag_transitive_candidates(graph: CausalGraph) -> tuple[Arc, ...]:
 
 
 def enforce_acyclicity(
-    graph: CausalGraph,
-    cycle_cap: int = DEFAULT_CYCLE_CAP,
-    report: CycleReport | None = None,
+    graph: CausalGraph, report: CycleReport
 ) -> tuple[CausalGraph, tuple[Arc, ...]]:
     """Greedily delete arcs until no directed cycle remains.
 
-    While cycles remain, the arc lying on the most simple cycles is removed;
-    ties prefer arcs already flagged ``SUSPECTED_TRANSITIVE``, then the
-    lexicographically smallest (cause, effect). Returns the acyclic graph,
-    whose arcs have ``ON_DIRECTED_CYCLE`` cleared, and the removed arcs in
-    removal order; each removed arc keeps its flags, ``ON_DIRECTED_CYCLE``
-    included. Deterministic for a given input.
-
-    Cycles are enumerated once: removing an arc deletes exactly the cycles
-    through it and creates none, so after each removal those cycles are
-    dropped and the coverage counts recomputed. The first enumeration is the
-    largest, so the ``cycle_cap`` check there is the only one needed. A
-    caller that already holds ``detect_cycles(graph, cycle_cap)`` passes it
-    as ``report`` (with the flags it set left as they are), and the cycles
-    are not listed a second time.
+    ``report`` is ``detect_cycles(graph)``, which owns the cycle cap. While
+    cycles remain, the arc lying on the most of them is removed; ties prefer
+    arcs flagged ``SUSPECTED_TRANSITIVE`` in ``graph``, then the smallest
+    (cause, effect). Removing an arc deletes exactly the cycles through it and
+    creates none, so the report's list is never rebuilt. Returns a new acyclic
+    graph, whose arcs have ``ON_DIRECTED_CYCLE`` cleared, and copies of the
+    removed arcs in removal order, each with its flags. ``graph`` is unchanged.
     """
-    work = CausalGraph(graph.kind, graph.entities, graph.arcs)
-    if report is None:
-        report = detect_cycles(work, cycle_cap=cycle_cap)
-    if report.is_acyclic:
-        return work, ()
     cycles = [set(pairwise(cycle, cyclic=True)) for cycle in report.cycles]
     removed: list[Arc] = []
     while cycles:
@@ -293,15 +279,15 @@ def enforce_acyclicity(
             coverage,
             key=lambda pair: (
                 -coverage[pair],
-                ArcFlag.SUSPECTED_TRANSITIVE not in work.arc(*pair).flags,
+                ArcFlag.SUSPECTED_TRANSITIVE not in graph.arc(*pair).flags,
                 pair,
             ),
         )
-        removed.append(work.arc(*victim_pair))
+        removed.append(Arc(*victim_pair, set(graph.arc(*victim_pair).flags)))
         cycles = [cycle for cycle in cycles if victim_pair not in cycle]
     victims = {arc.pair for arc in removed}
     result = CausalGraph(
-        work.kind, work.entities, [arc for arc in work.arcs if arc.pair not in victims]
+        graph.kind, graph.entities, [arc for arc in graph.arcs if arc.pair not in victims]
     )
     for arc in result.arcs:
         arc.flags.discard(ArcFlag.ON_DIRECTED_CYCLE)

@@ -15,6 +15,8 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+
+import networkx as nx
 from click.testing import CliRunner
 
 from causaltext.cli import main
@@ -116,7 +118,7 @@ def test_metric_values_match_independent_hand_computation():
 
 
 def test_cycle_enumeration_matches_exhaustive_oracle():
-    with criterion("cycle enumeration equals brute force on 500 random graphs"):
+    with criterion("cycles and on-cycle flags equal brute force on 500 random graphs"):
         rng = random.Random(987654321)
         checked = 0
         while checked < 500:
@@ -137,6 +139,21 @@ def test_cycle_enumeration_matches_exhaustive_oracle():
             report = detect_cycles(graph)
             assert set(report.cycles) == expected
             assert report.is_acyclic == (not expected)
+            # An arc lies on a simple cycle iff its endpoints share an SCC.
+            on_oracle_cycle = {
+                pair for cycle in expected for pair in zip(cycle, cycle[1:] + cycle[:1])
+            }
+            digraph = nx.DiGraph(list(pairs))
+            digraph.add_nodes_from(ids)
+            component = {
+                node: index
+                for index, scc in enumerate(nx.strongly_connected_components(digraph))
+                for node in scc
+            }
+            for arc in graph.arcs:
+                flagged = ArcFlag.ON_DIRECTED_CYCLE in arc.flags
+                assert flagged == (arc.pair in on_oracle_cycle)
+                assert flagged == (component[arc.cause] == component[arc.effect])
             checked += 1
         assert checked == 500
 
@@ -331,7 +348,7 @@ def test_double_cycle_fixture_enforcement():
         report = detect_cycles(graph)
         assert len(report.cycles) == 2
         assert all(len(cycle) >= 3 for cycle in report.cycles)
-        result, removed = enforce_acyclicity(graph)
+        result, removed = enforce_acyclicity(graph, report)
         assert len(removed) == 2
         assert detect_cycles(result).is_acyclic
 

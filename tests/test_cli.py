@@ -421,6 +421,108 @@ def test_undecodable_cache_entry_is_refetched_and_the_batch_completes(tmp_path, 
     assert json.loads(entry.read_text(encoding="utf-8"))["reply_text"]
 
 
+def test_failed_cache_write_leaves_the_batch_running(tmp_path, runner):
+    entries = {}
+    docs = []
+    for index, size in enumerate((6, 4)):
+        source_text, fixture = pipeline_document(size)
+        entries.update(fixture.entries)
+        doc = tmp_path / f"doc{index}.txt"
+        doc.write_text(source_text, encoding="utf-8")
+        docs.append(str(doc))
+    fixture_path = tmp_path / "fixture.json"
+    ReplayFixture(entries=entries).save(fixture_path)
+
+    def extract(out: str, cache: str):
+        return runner.invoke(
+            main,
+            ["extract", "--replay", str(fixture_path), "--out", str(tmp_path / out), *docs],
+            env=_env(tmp_path, CAUSALTEXT_CACHE_DIR=str(tmp_path / cache)),
+            catch_exceptions=False,
+        )
+
+    assert extract("reference", "reference_cache").exit_code == 0
+    names = sorted(p.name for p in (tmp_path / "reference_cache").glob("*.json"))
+    # a directory where one entry's scratch file goes makes that write fail
+    blocked = Path(names[0]).with_suffix(".tmp")
+    (tmp_path / "cache" / blocked).mkdir(parents=True)
+    result = extract("out", "cache")
+    assert result.exit_code == 0, result.output
+    for name in ("doc0", "doc1"):
+        for suffix in OUTPUT_SUFFIXES:
+            written = (tmp_path / "out" / f"{name}{suffix}").read_bytes()
+            assert written == (tmp_path / "reference" / f"{name}{suffix}").read_bytes()
+    cached = sorted(p.name for p in (tmp_path / "cache").glob("*.json"))
+    assert cached == names[1:]
+
+
+def test_record_into_a_missing_directory_is_refused_before_any_query(
+    tmp_path, runner, monkeypatch
+):
+    from causaltext import cli
+    from causaltext.gateway import ReplayTransport
+    from helpers import CountingTransport
+
+    source_text, fixture = pipeline_document(6)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    semeval_text, _ = benchmark_with_scripted_replies()
+    semeval_path = tmp_path / "bench.txt"
+    semeval_path.write_text(semeval_text, encoding="utf-8")
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    live = CountingTransport(ReplayTransport(fixture))
+    monkeypatch.setattr(cli, "LiveTransport", lambda config: live)
+    for record_dir in ("missing", "a_file"):
+        record_path = tmp_path / record_dir / "recorded.json"
+        for command, path in (("extract", doc), ("eval-pairs", semeval_path)):
+            result = runner.invoke(
+                main,
+                [command, "--record", str(record_path), "--out", str(tmp_path / "out"),
+                 str(path)],
+                env=_env(tmp_path),
+                catch_exceptions=False,
+            )
+            assert result.exit_code == 1, (command, result.output)
+            assert f"error: cannot record to {record_path}" in result.output
+    assert live.calls == 0
+    assert not (tmp_path / "cache").exists()  # refused before the run lock
+    assert not (tmp_path / "out").exists()
+
+
+def test_record_file_that_cannot_be_saved_is_an_error_line(tmp_path, runner, monkeypatch):
+    from causaltext import cli
+    from causaltext.gateway import ReplayTransport
+
+    source_text, fixture = pipeline_document(6)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    monkeypatch.setattr(cli, "LiveTransport", lambda config: ReplayTransport(fixture))
+    record_path = tmp_path / "recorded.json"
+    record_path.mkdir()
+    result = runner.invoke(
+        main,
+        ["extract", "--record", str(record_path), "--out", str(tmp_path / "out"), str(doc)],
+        env=_env(tmp_path),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert f"error: cannot save replay fixture {record_path}" in result.output
+    # the run itself completed before the save failed
+    assert (tmp_path / "out" / "doc.graph.json").exists()
+
+
+def test_cache_dir_that_is_a_file_is_an_error_line(tmp_path, runner):
+    extract_args, eval_args = _lock_test_inputs(tmp_path)
+    cache_file = tmp_path / "cache_file"
+    cache_file.write_text("not a directory", encoding="utf-8")
+    env = _env(tmp_path, CAUSALTEXT_CACHE_DIR=str(cache_file))
+    for args in (extract_args, eval_args):
+        result = runner.invoke(main, args, env=env, catch_exceptions=False)
+        assert result.exit_code == 1, (args[0], result.output)
+        assert "error: cannot open run lock" in result.output
+    assert cache_file.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_unreadable_input_fails_alone(tmp_path, runner):
     source_text, fixture = pipeline_document(4)
     fixture_path = tmp_path / "fixture.json"

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -533,3 +535,92 @@ def test_empty_reply_is_returned_but_never_cached(tmp_path):
     assert (exchange.source, exchange.reply_text) == (ExchangeSource.LIVE, "<Answer>A</Answer>")
     assert transport.calls == 2
     assert live.cached_complete(prompt).source is ExchangeSource.CACHE
+
+
+def test_failed_cache_write_is_logged_and_the_exchange_still_served(tmp_path, caplog):
+    config = ProviderConfig(cache_dir=tmp_path / "cache", requests_per_minute=1e9)
+    prompt = prompt_for("a question whose cache entry cannot be written")
+    record = ReplayFixture()
+    transport = CountingTransport(ScriptedTransport(["the reply", "the reply"]))
+    gateway = Gateway(config, transport, record)
+    path = _cache_path(config.cache_dir, _cache_key(config, prompt))
+    Path(path).with_suffix(".tmp").mkdir(parents=True)  # the scratch file cannot be opened
+    with caplog.at_level("WARNING"):
+        exchange = gateway.cached_complete(prompt)
+    assert (exchange.source, exchange.reply_text) == (ExchangeSource.LIVE, "the reply")
+    assert any("not written" in r.message for r in caplog.records)
+    assert record.entries[prompt.fingerprint].reply_text == "the reply"
+    assert cache_stats(config.cache_dir)[0] == 0
+    # nothing was cached, so the next ask pays again
+    assert gateway.cached_complete(prompt).source is ExchangeSource.LIVE
+    assert transport.calls == 2
+
+
+class _SlowTransport:
+    """Answers every prompt after 50 ms, counting sends."""
+
+    source = ExchangeSource.LIVE
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def send(self, prompt):
+        with self._lock:
+            self.calls += 1
+        time.sleep(0.05)
+        return "<Answer>A</Answer>", 0.05
+
+
+def _ask_from_threads(gateway: Gateway, prompts: list[RenderedPrompt], count: int) -> list[str]:
+    """Replies of ``count`` threads started at once; thread i asks ``prompts[i % len]``."""
+    barrier = threading.Barrier(count)
+    replies = []
+
+    def ask(prompt):
+        barrier.wait()
+        replies.append(gateway.cached_complete(prompt).reply_text)
+
+    threads = [
+        threading.Thread(target=ask, args=(prompts[index % len(prompts)],))
+        for index in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    return replies
+
+
+def test_concurrent_callers_of_one_prompt_make_one_send(tmp_path):
+    config = ProviderConfig(cache_dir=tmp_path / "cache", requests_per_minute=1e9)
+    transport = _SlowTransport()
+    gateway = Gateway(config, transport)
+    replies = _ask_from_threads(gateway, [prompt_for("one prompt, eight threads")], 8)
+    assert transport.calls == 1
+    assert replies == ["<Answer>A</Answer>"] * 8
+
+
+def test_key_lock_table_is_empty_once_each_miss_is_settled(tmp_path):
+    config = ProviderConfig(cache_dir=tmp_path / "cache", requests_per_minute=1e9)
+    transport = _SlowTransport()
+    gateway = Gateway(config, transport)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _ask_from_threads(gateway, [prompt_for(f"prompt {i}") for i in range(4)], 16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert transport.calls == 4
+    assert gateway._key_locks == {}
+    # filled, empty and raised misses each leave no lock behind
+    gateway, transport = _cached_gateway(
+        tmp_path, ["filled", "", ProviderUnavailableError("down")]
+    )
+    gateway.cached_complete(prompt_for("filled"))
+    gateway.cached_complete(prompt_for("empty"))
+    with pytest.raises(ProviderUnavailableError):
+        gateway.cached_complete(prompt_for("raised"))
+    assert transport.calls == 3
+    assert gateway._key_locks == {}

@@ -189,7 +189,7 @@ def test_flag_transitive_never_changes_arc_count_and_matches_witness_oracle():
 
 def test_enforce_acyclicity_noop_on_dag():
     graph = make_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
-    result, removed = enforce_acyclicity(graph)
+    result, removed = enforce_acyclicity(graph, detect_cycles(graph))
     assert removed == ()
     assert result == graph
 
@@ -205,7 +205,7 @@ def test_enforce_acyclicity_removes_max_coverage_arc():
         remaining = arc_pairs(graph) - {pair}
         oracle_cycles = brute_force_simple_cycles(["a", "b", "c"], remaining)
         assert (not oracle_cycles) == (pair == ("c", "a"))
-    result, removed = enforce_acyclicity(graph)
+    result, removed = enforce_acyclicity(graph, detect_cycles(graph))
     assert [arc.pair for arc in removed] == [("c", "a")]
     assert detect_cycles(result).is_acyclic
 
@@ -215,7 +215,7 @@ def test_enforce_acyclicity_two_disjoint_triangles_sharing_a_node():
         "abcde",
         [("a", "b"), ("b", "c"), ("c", "a"), ("b", "d"), ("d", "e"), ("e", "b")],
     )
-    result, removed = enforce_acyclicity(graph)
+    result, removed = enforce_acyclicity(graph, detect_cycles(graph))
     assert len(removed) == 2
     assert detect_cycles(result).is_acyclic
 
@@ -227,7 +227,7 @@ def test_enforce_acyclicity_prefers_transitive_suspects_on_ties():
         [("a", "b"), ("b", "c"), ("c", "a")],
     )
     graph.arc("c", "a").flags.add(ArcFlag.SUSPECTED_TRANSITIVE)
-    _, removed = enforce_acyclicity(graph)
+    _, removed = enforce_acyclicity(graph, detect_cycles(graph))
     assert [arc.pair for arc in removed] == [("c", "a")]
 
 
@@ -237,15 +237,41 @@ def test_enforce_acyclicity_never_removes_off_cycle_arcs():
     rng = random.Random(99)
     for _ in range(30):
         graph = random_graph(rng, rng.randint(3, 7), rng.uniform(0.15, 0.45))
+        report = detect_cycles(graph)
         on_cycle = {
             pair
-            for cycle in detect_cycles(graph).cycles
+            for cycle in report.cycles
             for pair in zip(cycle, cycle[1:] + cycle[:1])
         }
-        result, removed = enforce_acyclicity(graph)
+        result, removed = enforce_acyclicity(graph, report)
         assert detect_cycles(result).is_acyclic
         for arc in removed:
             assert arc.pair in on_cycle
+
+
+def test_enforce_acyclicity_leaves_its_input_untouched():
+    rng = random.Random(7)
+    removals = 0
+    for _ in range(30):
+        graph = random_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.5))
+        report = detect_cycles(graph)
+        flag_transitive_candidates(graph)
+        arcs = {arc.pair: (arc, frozenset(arc.flags)) for arc in graph.arcs}
+        result, removed = enforce_acyclicity(graph, report)
+        removals += len(removed)
+        assert {arc.pair: (arc, frozenset(arc.flags)) for arc in graph.arcs} == arcs
+        for arc in removed + result.arcs:
+            assert arc is not graph.arc(*arc.pair)
+        for arc in removed:
+            assert arc.flags == arcs[arc.pair][1]
+            arc.flags.clear()
+        assert {arc.pair: (arc, frozenset(arc.flags)) for arc in graph.arcs} == arcs
+    assert removals > 30
+
+
+def _detect_and_enforce(graph: CausalGraph, cycle_cap: int):
+    """``enforce_acyclicity`` on the report of ``detect_cycles`` at ``cycle_cap``."""
+    return enforce_acyclicity(graph, detect_cycles(graph, cycle_cap=cycle_cap))
 
 
 def _enforcement_outcome(enforce, graph: CausalGraph, cycle_cap: int):
@@ -271,7 +297,7 @@ def test_enforce_acyclicity_matches_reenumerating_oracle_on_random_graphs():
         cyclic += not detect_cycles(graph).is_acyclic
         flag_transitive_candidates(graph)
         expected = _enforcement_outcome(reenumerating_enforce_acyclicity, graph, 500)
-        assert _enforcement_outcome(enforce_acyclicity, graph, 500) == expected
+        assert _enforcement_outcome(_detect_and_enforce, graph, 500) == expected
     assert cyclic > 200
 
 
@@ -282,7 +308,7 @@ def test_enforce_acyclicity_cycle_cap_matches_reenumerating_oracle():
         [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("b", "a")],
         kind=GraphKind.GROUND_TRUTH,
     )
-    for enforce in (enforce_acyclicity, reenumerating_enforce_acyclicity):
+    for enforce in (_detect_and_enforce, reenumerating_enforce_acyclicity):
         with pytest.raises(CycleBudgetExceededError):
             enforce(graph, cycle_cap=2)
         _, removed = enforce(graph, cycle_cap=3)

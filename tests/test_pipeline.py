@@ -322,6 +322,14 @@ def test_run_pipeline_replayed_document_matches_expected_graph(gateway_factory):
     )
 
 
+def test_cold_run_leaves_no_per_key_lock_behind(gateway_factory):
+    source_text, fixture = pipeline_document(12)
+    gateway, transport = gateway_factory(fixture, parallelism=4, counting=True)
+    run_pipeline(source_text, "", PipelineConfig(), gateway)
+    assert transport.calls == 67  # C(12, 2) + 1, every one a miss
+    assert gateway._key_locks == {}
+
+
 def test_run_pipeline_deterministic_across_parallelism(gateway_factory):
     source_text, fixture = pipeline_document(10)
     outputs = []
