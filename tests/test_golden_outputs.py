@@ -1,10 +1,12 @@
 """Pinned sha256 digests of replayed CLI outputs.
 
 Replayed outputs must stay byte-identical across refactors and speed-ups.
-These digests were taken from the CLI before the literal offset check and
-the shared cycle report went in; any change to an output byte fails here. If an output format changes on
-purpose, regenerate them with ``PYTHONPATH=src python
-tests/test_golden_outputs.py`` and say why in the change log.
+The enforced digests were taken from the CLI before the literal offset check
+and the shared cycle report went in, the unenforced ones before the graph
+analyses stopped setting arc flags in place; any change to an output byte
+fails here. If an output format changes on purpose, regenerate them with
+``PYTHONPATH=src python tests/test_golden_outputs.py`` and say why in the
+change log.
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ EXTRACT_DIGESTS = {
     "doc.stats.json": "5c3c3114af017436ff76bf5baea7dc21467d4f73c37bd2f956f78938595540d1",
 }
 
+# the same document without --enforce-acyclic: the only run that writes on-cycle flags
+UNENFORCED_EXTRACT_DIGESTS = {
+    "doc.graph.json": "fb095ef97815ff4650fb0d1ecca4b06b8a8a59b72ebad7c4014089cff6a4096a",
+    "doc.dot": "1f937174140a5e040d859e67cf024bf67a01b95d90db1d324b669584c1d27e62",
+    "doc.cycles.json": "aba13ab50bfe17c421c87af8eb38561a1e13c5df86a76d79c6262c7a1f4e78ad",
+    "doc.stats.json": "27371702eab6045412449c1a952eaaf91a67dc1501c25cad40fd591e1ece998d",
+}
+
 PAIRWISE_REPORT_DIGEST = "160379603cbfa52de1e7abb9e71c3e0e0fa20689109d2ddf139e83e414178095"
 
 
@@ -36,20 +46,21 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def extract_digests(workdir: Path, parallelism: int) -> dict[str, str]:
+def extract_digests(workdir: Path, parallelism: int, enforce: bool = True) -> dict[str, str]:
     source_text, fixture = pipeline_document(CYCLIC_ENTITY_COUNT)
     fixture_path = workdir / "fixture.json"
     fixture.save(fixture_path)
     doc = workdir / "doc.txt"
     doc.write_text(source_text, encoding="utf-8")
-    out = workdir / f"out{parallelism}"
+    label = f"{parallelism}{'e' if enforce else ''}"
+    out = workdir / f"out{label}"
     result = CliRunner().invoke(
         main,
         [
-            "extract", "--replay", str(fixture_path), "--enforce-acyclic",
+            "extract", "--replay", str(fixture_path), *(["--enforce-acyclic"] if enforce else []),
             "--parallelism", str(parallelism), "--out", str(out), str(doc),
         ],
-        env={"CAUSALTEXT_CACHE_DIR": str(workdir / f"cache{parallelism}")},
+        env={"CAUSALTEXT_CACHE_DIR": str(workdir / f"cache{label}")},
         catch_exceptions=False,
     )
     assert result.exit_code == 0, result.output
@@ -78,6 +89,11 @@ def test_replayed_enforced_extract_outputs_match_pinned_digests(tmp_path, parall
     assert extract_digests(tmp_path, parallelism) == EXTRACT_DIGESTS
 
 
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_replayed_unenforced_extract_outputs_match_pinned_digests(tmp_path, parallelism):
+    assert extract_digests(tmp_path, parallelism, enforce=False) == UNENFORCED_EXTRACT_DIGESTS
+
+
 def test_eval_pairs_report_matches_pinned_digest(tmp_path):
     assert pairwise_report_digest(tmp_path) == PAIRWISE_REPORT_DIGEST
 
@@ -85,6 +101,8 @@ def test_eval_pairs_report_matches_pinned_digest(tmp_path):
 if __name__ == "__main__":
     # print fresh digests for the constants above
     with tempfile.TemporaryDirectory() as workdir:
-        for parallelism in (1, 4):
-            print(parallelism, extract_digests(Path(workdir), parallelism))
+        for enforce in (True, False):
+            for parallelism in (1, 4):
+                print("enforced" if enforce else "unenforced", parallelism,
+                      extract_digests(Path(workdir), parallelism, enforce))
         print("eval-pairs", pairwise_report_digest(Path(workdir)))
