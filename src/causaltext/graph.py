@@ -1,11 +1,10 @@
 """Directed causal-graph model, structural analyses and comparison metrics.
 
 A :class:`CausalGraph` is a set of entities (nodes) plus directed cause-effect
-arcs. Graph structure is immutable once built: every operation returns a new
-graph or a report. The one mutable bit is ``Arc.flags``, which the analyses
-(:func:`detect_cycles`, :func:`flag_transitive_candidates`) recompute in place
-on the graph they are given; arc objects are copied on graph construction, so
-flags never leak between graph values.
+arcs. Graphs and arcs are immutable: the analyses (:func:`detect_cycles`,
+:func:`flag_transitive_candidates`, :func:`enforce_acyclicity`) return reports,
+arcs and new graphs and never change the graph they are given. Arc flags are
+attached once, by :meth:`CausalGraph.with_flags`, to the graph that is written.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import networkx as nx
 from networkx.utils import pairwise
@@ -79,13 +78,13 @@ class Entity:
         object.__setattr__(self, "surface_forms", forms)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class Arc:
     """A directed cause -> effect relation between two entity ids."""
 
     cause: str
     effect: str
-    flags: set[ArcFlag] = field(default_factory=set)
+    flags: frozenset[ArcFlag] = frozenset()
 
     def __post_init__(self) -> None:
         if self.cause == self.effect:
@@ -134,7 +133,7 @@ class CausalGraph:
                 raise OppositeArcConflictError(
                     f"arc {arc.cause!r} -> {arc.effect!r} opposes an existing arc"
                 )
-            self._arcs[arc.pair] = Arc(arc.cause, arc.effect, set(arc.flags))
+            self._arcs[arc.pair] = arc
 
     @property
     def entities(self) -> tuple[Entity, ...]:
@@ -157,6 +156,13 @@ class CausalGraph:
     def arc(self, cause: str, effect: str) -> Arc | None:
         return self._arcs.get((cause, effect))
 
+    def with_flags(self, flagged: dict[ArcFlag, Collection[tuple[str, str]]]) -> CausalGraph:
+        """This graph with each arc carrying exactly the flags whose pairs include it."""
+        return CausalGraph(self.kind, self._entities.values(), [
+            Arc(*pair, frozenset(flag for flag, pairs in flagged.items() if pair in pairs))
+            for pair in self._arcs
+        ])
+
     def __eq__(self, other: object) -> bool:
         """Structural equality: entities, arc pairs and arc flags.
 
@@ -170,7 +176,7 @@ class CausalGraph:
 
     def _structure(self) -> tuple[dict, dict]:
         entities = {e.id: (e.canonical_label, e.surface_forms) for e in self._entities.values()}
-        return entities, {pair: frozenset(arc.flags) for pair, arc in self._arcs.items()}
+        return entities, {pair: arc.flags for pair, arc in self._arcs.items()}
 
     def __repr__(self) -> str:
         return (
@@ -188,6 +194,11 @@ class CycleReport:
     @property
     def is_acyclic(self) -> bool:
         return not self.cycles
+
+    @property
+    def on_cycle_pairs(self) -> frozenset[tuple[str, str]]:
+        """The (cause, effect) pair of every arc on at least one listed cycle."""
+        return frozenset(pair for cycle in self.cycles for pair in pairwise(cycle, cyclic=True))
 
     def to_dict(self) -> dict:
         return {"is_acyclic": self.is_acyclic, "cycles": [list(c) for c in self.cycles]}
@@ -209,9 +220,7 @@ def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Cyc
     """Enumerate every simple directed cycle of ``graph``.
 
     Cycles come back in canonical rotation (starting at the lexicographically
-    smallest id) and sorted lexicographically. Every arc lying on at least one
-    cycle gets the ``ON_DIRECTED_CYCLE`` flag; arcs off all cycles have it
-    cleared, so the flag always reflects this graph.
+    smallest id) and sorted lexicographically.
 
     Raises :class:`CycleBudgetExceededError` past ``cycle_cap`` cycles, which
     signals pathological input rather than a normal extraction.
@@ -225,72 +234,55 @@ def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Cyc
                 "if this input is expected"
             )
     cycles.sort()
-
-    on_cycle = {pair for cycle in cycles for pair in pairwise(cycle, cyclic=True)}
-    for arc in graph.arcs:
-        if arc.pair in on_cycle:
-            arc.flags.add(ArcFlag.ON_DIRECTED_CYCLE)
-        else:
-            arc.flags.discard(ArcFlag.ON_DIRECTED_CYCLE)
-
     return CycleReport(tuple(cycles))
 
 
 def flag_transitive_candidates(graph: CausalGraph) -> tuple[Arc, ...]:
-    """Flag every arc shadowed by a longer directed path between its endpoints.
+    """The arcs of ``graph`` shadowed by a longer directed path between their endpoints.
 
     An arc u -> v is a transitive candidate when a directed path u to v of
-    length >= 2 exists that avoids the arc itself. Candidates are flagged
-    ``SUSPECTED_TRANSITIVE`` and returned sorted by (cause, effect); the arc
-    set itself never changes, because a shadowed arc may still be a genuine
-    direct effect.
+    length >= 2 exists that avoids the arc itself. Candidates come back sorted
+    by (cause, effect); the caller decides whether to flag them
+    ``SUSPECTED_TRANSITIVE`` or drop them, because a shadowed arc may still be
+    a genuine direct effect.
     """
     digraph = _digraph(graph)
-    flagged: list[Arc] = []
+    shadowed: list[Arc] = []
     for arc in graph.arcs:
         digraph.remove_edge(*arc.pair)
         if nx.has_path(digraph, *arc.pair):
-            arc.flags.add(ArcFlag.SUSPECTED_TRANSITIVE)
-            flagged.append(arc)
-        else:
-            arc.flags.discard(ArcFlag.SUSPECTED_TRANSITIVE)
+            shadowed.append(arc)
         digraph.add_edge(*arc.pair)
-    return tuple(flagged)
+    return tuple(shadowed)
 
 
 def enforce_acyclicity(
-    graph: CausalGraph, report: CycleReport
+    graph: CausalGraph, report: CycleReport, transitive: Iterable[Arc]
 ) -> tuple[CausalGraph, tuple[Arc, ...]]:
     """Greedily delete arcs until no directed cycle remains.
 
     ``report`` is ``detect_cycles(graph)``, which owns the cycle cap. While
     cycles remain, the arc lying on the most of them is removed; ties prefer
-    arcs flagged ``SUSPECTED_TRANSITIVE`` in ``graph``, then the smallest
-    (cause, effect). Removing an arc deletes exactly the cycles through it and
-    creates none, so the report's list is never rebuilt. Returns a new acyclic
-    graph, whose arcs have ``ON_DIRECTED_CYCLE`` cleared, and copies of the
-    removed arcs in removal order, each with its flags. ``graph`` is unchanged.
+    the arcs in ``transitive`` (``flag_transitive_candidates(graph)``), then
+    the smallest (cause, effect). Removing an arc deletes exactly the cycles
+    through it and creates none, so the report's list is never rebuilt.
+    Returns a new acyclic graph and the removed arcs of ``graph`` in removal
+    order.
     """
+    suspects = {arc.pair for arc in transitive}
     cycles = [set(pairwise(cycle, cyclic=True)) for cycle in report.cycles]
     removed: list[Arc] = []
     while cycles:
         coverage = Counter(chain.from_iterable(cycles))
         victim_pair = min(
-            coverage,
-            key=lambda pair: (
-                -coverage[pair],
-                ArcFlag.SUSPECTED_TRANSITIVE not in graph.arc(*pair).flags,
-                pair,
-            ),
+            coverage, key=lambda pair: (-coverage[pair], pair not in suspects, pair)
         )
-        removed.append(Arc(*victim_pair, set(graph.arc(*victim_pair).flags)))
+        removed.append(graph.arc(*victim_pair))
         cycles = [cycle for cycle in cycles if victim_pair not in cycle]
     victims = {arc.pair for arc in removed}
     result = CausalGraph(
         graph.kind, graph.entities, [arc for arc in graph.arcs if arc.pair not in victims]
     )
-    for arc in result.arcs:
-        arc.flags.discard(ArcFlag.ON_DIRECTED_CYCLE)
     return result, tuple(removed)
 
 
@@ -457,7 +449,7 @@ def _parse_entity_record(record: object) -> Entity:
 def _parse_arc_record(record: object) -> Arc:
     cause, effect = _field(record, "cause", str), _field(record, "effect", str)
     try:
-        flags = {ArcFlag(name) for name in _field(record, "flags", list, [])}
+        flags = frozenset(ArcFlag(name) for name in _field(record, "flags", list, []))
     except ValueError:
         raise GraphFileError(f"unknown arc flag in {record!r}") from None
     try:

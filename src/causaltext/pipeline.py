@@ -26,6 +26,7 @@ from .errors import (
 from .gateway import ChatExchange, Gateway
 from .graph import (
     Arc,
+    ArcFlag,
     CausalGraph,
     CycleReport,
     Entity,
@@ -232,7 +233,7 @@ class RunStats:
 
 @dataclass
 class PipelineRun:
-    """Everything one document produced: entities, verdicts, graph, analyses."""
+    """Everything one document produced: entities, verdicts, the written graph, analyses."""
 
     entities: tuple[Entity, ...]
     verdicts: dict[PairKey, Verdict]
@@ -310,7 +311,13 @@ def run_pipeline(
         transitive = flag_transitive_candidates(graph)
         removed: tuple[Arc, ...] = ()
         if config.enforce_acyclic:
-            graph, removed = enforce_acyclicity(graph, report=cycle_report)
+            graph, removed = enforce_acyclicity(graph, cycle_report, transitive)
+        graph = graph.with_flags({
+            # the extracted graph's candidates, also after enforcement removed arcs
+            ArcFlag.SUSPECTED_TRANSITIVE: {arc.pair for arc in transitive},
+            # the report lists the written graph's cycles unless arcs were removed
+            ArcFlag.ON_DIRECTED_CYCLE: () if removed else cycle_report.on_cycle_pairs,
+        })
     except CausalTextError as exc:
         raise PipelineStageError(
             f"pipeline aborted after stage {completed!r}: {exc}", completed, partial

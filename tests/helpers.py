@@ -11,8 +11,15 @@ import threading
 from pathlib import Path
 
 from causaltext.gateway import ExchangeSource
+from causaltext.graph import ArcFlag, CausalGraph, flag_transitive_candidates
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def transitive_flagged(graph: CausalGraph) -> CausalGraph:
+    """``graph`` with its transitive candidates flagged, as an extracted graph is written."""
+    shadowed = {arc.pair for arc in flag_transitive_candidates(graph)}
+    return graph.with_flags({ArcFlag.SUSPECTED_TRANSITIVE: shadowed})
 
 
 class CountingTransport:

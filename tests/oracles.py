@@ -10,14 +10,9 @@ type and cycle listing (both checked against the brute force above).
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Iterable
 
-from causaltext.graph import (
-    DEFAULT_CYCLE_CAP,
-    Arc,
-    ArcFlag,
-    CausalGraph,
-    detect_cycles,
-)
+from causaltext.graph import DEFAULT_CYCLE_CAP, Arc, CausalGraph, detect_cycles
 
 
 def brute_force_simple_cycles(
@@ -92,14 +87,15 @@ def brute_force_has_witness_path(
 
 
 def reenumerating_enforce_acyclicity(
-    graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP
+    graph: CausalGraph, transitive: Iterable[Arc], cycle_cap: int = DEFAULT_CYCLE_CAP
 ) -> tuple[CausalGraph, tuple[Arc, ...]]:
     """The cycle-coverage greedy that lists every cycle again after each removal.
 
     While cycles remain, remove the arc on the most simple cycles; ties
-    prefer ``SUSPECTED_TRANSITIVE`` arcs, then the smallest (cause, effect).
+    prefer the arcs in ``transitive``, then the smallest (cause, effect).
     """
-    work = CausalGraph(graph.kind, graph.entities, graph.arcs)
+    suspects = {arc.pair for arc in transitive}
+    work = graph
     removed: list[Arc] = []
     while True:
         report = detect_cycles(work, cycle_cap=cycle_cap)
@@ -111,12 +107,7 @@ def reenumerating_enforce_acyclicity(
                 pair = (cause, cycle[(index + 1) % len(cycle)])
                 coverage[pair] = coverage.get(pair, 0) + 1
         victim_pair = min(
-            coverage,
-            key=lambda pair: (
-                -coverage[pair],
-                ArcFlag.SUSPECTED_TRANSITIVE not in work.arc(*pair).flags,
-                pair,
-            ),
+            coverage, key=lambda pair: (-coverage[pair], pair not in suspects, pair)
         )
         removed.append(work.arc(*victim_pair))
         remaining = [arc for arc in work.arcs if arc.pair != victim_pair]

@@ -151,7 +151,7 @@ def test_cycle_enumeration_matches_exhaustive_oracle():
                 for node in scc
             }
             for arc in graph.arcs:
-                flagged = ArcFlag.ON_DIRECTED_CYCLE in arc.flags
+                flagged = arc.pair in report.on_cycle_pairs
                 assert flagged == (arc.pair in on_oracle_cycle)
                 assert flagged == (component[arc.cause] == component[arc.effect])
             checked += 1
@@ -348,7 +348,7 @@ def test_double_cycle_fixture_enforcement():
         report = detect_cycles(graph)
         assert len(report.cycles) == 2
         assert all(len(cycle) >= 3 for cycle in report.cycles)
-        result, removed = enforce_acyclicity(graph, report)
+        result, removed = enforce_acyclicity(graph, report, flag_transitive_candidates(graph))
         assert len(removed) == 2
         assert detect_cycles(result).is_acyclic
 

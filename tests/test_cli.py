@@ -20,10 +20,10 @@ from causaltext.graph import (
     Entity,
     GraphFormat,
     GraphKind,
-    flag_transitive_candidates,
     serialize_graph,
 )
 from causaltext.pipeline import PipelineConfig
+from helpers import transitive_flagged
 from synth import benchmark_with_scripted_replies, pipeline_document
 
 
@@ -681,10 +681,9 @@ def test_eval_pairs_scores_span_that_changes_length_when_lowercased(tmp_path, ru
 
 def _write_shortcut_graphs(tmp_path) -> tuple[Path, Path]:
     entities = [Entity(id=i, canonical_label=i) for i in "abc"]
-    extracted = CausalGraph(
+    extracted = transitive_flagged(CausalGraph(
         GraphKind.EXTRACTED, entities, [Arc("a", "b"), Arc("b", "c"), Arc("a", "c")]
-    )
-    flag_transitive_candidates(extracted)
+    ))
     truth = CausalGraph(GraphKind.GROUND_TRUTH, entities, [Arc("a", "b"), Arc("b", "c")])
     run_path = tmp_path / "run.graph.json"
     truth_path = tmp_path / "truth.graph.json"

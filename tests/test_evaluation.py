@@ -25,8 +25,8 @@ from causaltext.graph import (
     Entity,
     GraphKind,
     compare_graphs,
-    flag_transitive_candidates,
 )
+from helpers import transitive_flagged
 from synth import _question_fingerprint, benchmark_with_scripted_replies
 
 TABLE_ROWS = [
@@ -304,13 +304,11 @@ def test_run_pairwise_eval_inline_equals_pooled(gateway_factory):
 def _shortcut_graph() -> CausalGraph:
     entities = [Entity(id=i, canonical_label=i, first_offset=n)
                 for n, i in enumerate("abc")]
-    graph = CausalGraph(
+    return transitive_flagged(CausalGraph(
         GraphKind.EXTRACTED,
         entities,
         [Arc("a", "b"), Arc("b", "c"), Arc("a", "c")],
-    )
-    flag_transitive_candidates(graph)
-    return graph
+    ))
 
 
 def _truth_ab_bc() -> CausalGraph:
@@ -339,12 +337,11 @@ def test_evaluate_graph_run_perfect_extraction_share_undefined():
 
 def test_transitive_share_counts_only_flagged_false_positives():
     entities = [Entity(id=i, canonical_label=i) for i in "abcd"]
-    extracted = CausalGraph(
+    extracted = transitive_flagged(CausalGraph(
         GraphKind.EXTRACTED,
         entities,
         [Arc("a", "b"), Arc("b", "c"), Arc("a", "c"), Arc("a", "d")],
-    )
-    flag_transitive_candidates(extracted)
+    ))
     truth = CausalGraph(
         GraphKind.GROUND_TRUTH,
         entities,

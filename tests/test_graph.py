@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -32,6 +33,7 @@ from causaltext.graph import (
 )
 from fractions import Fraction
 
+from helpers import transitive_flagged
 from oracles import (
     brute_force_counts,
     brute_force_has_witness_path,
@@ -106,14 +108,14 @@ def test_detect_cycles_single_triangle():
     report = detect_cycles(graph)
     assert report.cycles == (("a", "b", "c"),)
     assert not report.is_acyclic
-    assert all(ArcFlag.ON_DIRECTED_CYCLE in arc.flags for arc in graph.arcs)
+    assert report.on_cycle_pairs == arc_pairs(graph)
 
 
 def test_detect_cycles_flags_only_participating_arcs():
     graph = make_graph("abcd", [("a", "b"), ("b", "a"), ("c", "d")], kind=GraphKind.GROUND_TRUTH)
-    detect_cycles(graph)
-    assert ArcFlag.ON_DIRECTED_CYCLE in graph.arc("a", "b").flags
-    assert ArcFlag.ON_DIRECTED_CYCLE not in graph.arc("c", "d").flags
+    report = detect_cycles(graph)
+    assert report.on_cycle_pairs == {("a", "b"), ("b", "a")}
+    assert all(not arc.flags for arc in graph.arcs)
 
 
 def test_detect_cycles_matches_brute_force_on_random_graphs():
@@ -144,6 +146,7 @@ def test_cycle_report_consistency_enforced():
     assert CycleReport(()).is_acyclic
     assert not CycleReport((("a", "b"),)).is_acyclic
     assert CycleReport((("a", "b"),)).to_dict() == {"is_acyclic": False, "cycles": [["a", "b"]]}
+    assert CycleReport((("a", "b", "c"),)).on_cycle_pairs == {("a", "b"), ("b", "c"), ("c", "a")}
 
 
 # --- flag_transitive_candidates ---------------------------------------------------
@@ -152,9 +155,9 @@ def test_cycle_report_consistency_enforced():
 def test_flag_transitive_shortcut_triangle():
     graph = make_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     flagged = flag_transitive_candidates(graph)
-    assert [arc.pair for arc in flagged] == [("a", "c")]
-    assert ArcFlag.SUSPECTED_TRANSITIVE in graph.arc("a", "c").flags
-    assert ArcFlag.SUSPECTED_TRANSITIVE not in graph.arc("a", "b").flags
+    assert flagged == (graph.arc("a", "c"),)
+    assert flagged[0] is graph.arc("a", "c")
+    assert all(not arc.flags for arc in graph.arcs)
 
 
 def test_flag_transitive_no_shortcut():
@@ -189,7 +192,7 @@ def test_flag_transitive_never_changes_arc_count_and_matches_witness_oracle():
 
 def test_enforce_acyclicity_noop_on_dag():
     graph = make_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
-    result, removed = enforce_acyclicity(graph, detect_cycles(graph))
+    result, removed = enforce_acyclicity(graph, detect_cycles(graph), ())
     assert removed == ()
     assert result == graph
 
@@ -205,7 +208,7 @@ def test_enforce_acyclicity_removes_max_coverage_arc():
         remaining = arc_pairs(graph) - {pair}
         oracle_cycles = brute_force_simple_cycles(["a", "b", "c"], remaining)
         assert (not oracle_cycles) == (pair == ("c", "a"))
-    result, removed = enforce_acyclicity(graph, detect_cycles(graph))
+    result, removed = enforce_acyclicity(graph, detect_cycles(graph), ())
     assert [arc.pair for arc in removed] == [("c", "a")]
     assert detect_cycles(result).is_acyclic
 
@@ -215,7 +218,7 @@ def test_enforce_acyclicity_two_disjoint_triangles_sharing_a_node():
         "abcde",
         [("a", "b"), ("b", "c"), ("c", "a"), ("b", "d"), ("d", "e"), ("e", "b")],
     )
-    result, removed = enforce_acyclicity(graph, detect_cycles(graph))
+    result, removed = enforce_acyclicity(graph, detect_cycles(graph), ())
     assert len(removed) == 2
     assert detect_cycles(result).is_acyclic
 
@@ -226,9 +229,10 @@ def test_enforce_acyclicity_prefers_transitive_suspects_on_ties():
         "abc",
         [("a", "b"), ("b", "c"), ("c", "a")],
     )
-    graph.arc("c", "a").flags.add(ArcFlag.SUSPECTED_TRANSITIVE)
-    _, removed = enforce_acyclicity(graph, detect_cycles(graph))
+    _, removed = enforce_acyclicity(graph, detect_cycles(graph), [graph.arc("c", "a")])
     assert [arc.pair for arc in removed] == [("c", "a")]
+    _, removed = enforce_acyclicity(graph, detect_cycles(graph), [graph.arc("b", "c")])
+    assert [arc.pair for arc in removed] == [("b", "c")]
 
 
 def test_enforce_acyclicity_never_removes_off_cycle_arcs():
@@ -243,7 +247,7 @@ def test_enforce_acyclicity_never_removes_off_cycle_arcs():
             for cycle in report.cycles
             for pair in zip(cycle, cycle[1:] + cycle[:1])
         }
-        result, removed = enforce_acyclicity(graph, report)
+        result, removed = enforce_acyclicity(graph, report, flag_transitive_candidates(graph))
         assert detect_cycles(result).is_acyclic
         for arc in removed:
             assert arc.pair in on_cycle
@@ -253,31 +257,28 @@ def test_enforce_acyclicity_leaves_its_input_untouched():
     rng = random.Random(7)
     removals = 0
     for _ in range(30):
-        graph = random_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.5))
+        graph = transitive_flagged(random_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.5)))
         report = detect_cycles(graph)
-        flag_transitive_candidates(graph)
-        arcs = {arc.pair: (arc, frozenset(arc.flags)) for arc in graph.arcs}
-        result, removed = enforce_acyclicity(graph, report)
+        arcs = {arc.pair: arc for arc in graph.arcs}
+        result, removed = enforce_acyclicity(graph, report, flag_transitive_candidates(graph))
         removals += len(removed)
-        assert {arc.pair: (arc, frozenset(arc.flags)) for arc in graph.arcs} == arcs
+        assert {arc.pair: arc for arc in graph.arcs} == arcs
+        # removed and kept arcs alike are the input's arcs, flags included
+        assert sorted(removed + result.arcs, key=lambda arc: arc.pair) == list(graph.arcs)
         for arc in removed + result.arcs:
-            assert arc is not graph.arc(*arc.pair)
-        for arc in removed:
-            assert arc.flags == arcs[arc.pair][1]
-            arc.flags.clear()
-        assert {arc.pair: (arc, frozenset(arc.flags)) for arc in graph.arcs} == arcs
+            assert arc is arcs[arc.pair]
     assert removals > 30
 
 
-def _detect_and_enforce(graph: CausalGraph, cycle_cap: int):
+def _detect_and_enforce(graph: CausalGraph, transitive, cycle_cap: int):
     """``enforce_acyclicity`` on the report of ``detect_cycles`` at ``cycle_cap``."""
-    return enforce_acyclicity(graph, detect_cycles(graph, cycle_cap=cycle_cap))
+    return enforce_acyclicity(graph, detect_cycles(graph, cycle_cap=cycle_cap), transitive)
 
 
 def _enforcement_outcome(enforce, graph: CausalGraph, cycle_cap: int):
     """Removed pairs in order, their flags and the serialized result, or the error type."""
     try:
-        result, removed = enforce(graph, cycle_cap=cycle_cap)
+        result, removed = enforce(graph, flag_transitive_candidates(graph), cycle_cap=cycle_cap)
     except CycleBudgetExceededError:
         return CycleBudgetExceededError
     return (
@@ -293,9 +294,13 @@ def test_enforce_acyclicity_matches_reenumerating_oracle_on_random_graphs():
     for index in range(500):
         kind = GraphKind.EXTRACTED if index % 2 else GraphKind.GROUND_TRUTH
         graph = random_graph(rng, rng.randint(3, 11), rng.uniform(0.05, 0.4), kind=kind)
-        # flagged as run_pipeline leaves the graph before enforcement
-        cyclic += not detect_cycles(graph).is_acyclic
-        flag_transitive_candidates(graph)
+        # flagged as run_pipeline writes an unenforced graph, so flags reach both outcomes
+        report = detect_cycles(graph)
+        cyclic += not report.is_acyclic
+        graph = graph.with_flags({
+            ArcFlag.SUSPECTED_TRANSITIVE: {arc.pair for arc in flag_transitive_candidates(graph)},
+            ArcFlag.ON_DIRECTED_CYCLE: report.on_cycle_pairs,
+        })
         expected = _enforcement_outcome(reenumerating_enforce_acyclicity, graph, 500)
         assert _enforcement_outcome(_detect_and_enforce, graph, 500) == expected
     assert cyclic > 200
@@ -310,8 +315,8 @@ def test_enforce_acyclicity_cycle_cap_matches_reenumerating_oracle():
     )
     for enforce in (_detect_and_enforce, reenumerating_enforce_acyclicity):
         with pytest.raises(CycleBudgetExceededError):
-            enforce(graph, cycle_cap=2)
-        _, removed = enforce(graph, cycle_cap=3)
+            enforce(graph, (), cycle_cap=2)
+        _, removed = enforce(graph, (), cycle_cap=3)
         assert removed
 
 
@@ -359,7 +364,7 @@ def test_compare_graphs_count_invariants_on_random_pairs():
     for _ in range(50):
         extracted = random_graph(rng, rng.randint(2, 6), rng.uniform(0.1, 0.5))
         truth = random_graph(rng, rng.randint(2, 6), rng.uniform(0.1, 0.5))
-        flag_transitive_candidates(extracted)
+        extracted = transitive_flagged(extracted)
         comparison = compare_graphs(extracted, truth)
         # labels equal ids in these fixtures
         tp, fp, fn = brute_force_counts(arc_pairs(extracted), arc_pairs(truth))
@@ -388,16 +393,14 @@ def test_serialize_dot_single_edge_statement():
 
 
 def test_serialize_dot_marks_transitive_arcs():
-    graph = make_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
-    flag_transitive_candidates(graph)
+    graph = transitive_flagged(make_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]))
     dot = serialize_graph(graph, GraphFormat.DOT)
     assert '"a" -> "c" [style=dashed];' in dot
     assert '"a" -> "b";' in dot
 
 
 def test_structured_round_trip():
-    graph = make_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
-    flag_transitive_candidates(graph)
+    graph = transitive_flagged(make_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]))
     text = serialize_graph(graph, GraphFormat.STRUCTURED)
     assert parse_graph(text) == graph
 
@@ -499,9 +502,27 @@ def test_graph_rejects_duplicate_ids_and_labels():
 def test_graph_flags_do_not_alias_between_values():
     graph = make_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     copy = CausalGraph(graph.kind, graph.entities, graph.arcs)
-    flag_transitive_candidates(copy)
-    assert ArcFlag.SUSPECTED_TRANSITIVE in copy.arc("a", "c").flags
-    assert ArcFlag.SUSPECTED_TRANSITIVE not in graph.arc("a", "c").flags
+    assert copy.arc("a", "c") is graph.arc("a", "c")
+    flagged = copy.with_flags({ArcFlag.SUSPECTED_TRANSITIVE: {("a", "c")}})
+    assert flagged.arc("a", "c").flags == {ArcFlag.SUSPECTED_TRANSITIVE}
+    assert not graph.arc("a", "c").flags and not copy.arc("a", "c").flags
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.arc("a", "c").flags = frozenset(ArcFlag)
+
+
+def test_with_flags_sets_exactly_the_flags_it_is_given():
+    graph = make_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    both = graph.with_flags({
+        ArcFlag.SUSPECTED_TRANSITIVE: {("a", "c")},
+        ArcFlag.ON_DIRECTED_CYCLE: {("a", "b"), ("a", "c")},
+    })
+    assert {arc.pair: arc.flags for arc in both.arcs} == {
+        ("a", "b"): {ArcFlag.ON_DIRECTED_CYCLE},
+        ("a", "c"): set(ArcFlag),
+        ("b", "c"): set(),
+    }
+    # flags already on the arcs are replaced, not kept
+    assert both.with_flags({}) == graph
 
 
 @given(st.text(max_size=40))

@@ -26,6 +26,7 @@ from causaltext.gateway import (
 )
 from causaltext.graph import (
     Arc,
+    ArcFlag,
     CausalGraph,
     Entity,
     GraphFormat,
@@ -601,3 +602,19 @@ def test_run_pipeline_enforce_acyclic_lists_cycles_once(gateway_factory, monkeyp
     assert len(run.cycle_report.cycles) == 61
     assert len(run.removed_arcs) == 4
     assert listings == [19]
+
+
+def test_run_pipeline_flags_only_the_graph_it_writes(gateway_factory):
+    source_text, fixture = pipeline_document(8)
+    for enforce in (False, True):
+        gateway, _ = gateway_factory(fixture)
+        run = run_pipeline(source_text, "", PipelineConfig(enforce_acyclic=enforce), gateway)
+        transitive = {arc.pair for arc in run.transitive_arcs}
+        on_cycle = set() if enforce else run.cycle_report.on_cycle_pairs
+        assert len(on_cycle) == (0 if enforce else 19)
+        for arc in run.graph.arcs:
+            assert (ArcFlag.SUSPECTED_TRANSITIVE in arc.flags) == (arc.pair in transitive)
+            assert (ArcFlag.ON_DIRECTED_CYCLE in arc.flags) == (arc.pair in on_cycle)
+        # the analyses describe the extracted graph, whose arcs carry no flags
+        assert not any(arc.flags for arc in run.transitive_arcs + run.removed_arcs)
+        assert len(run.removed_arcs) == (4 if enforce else 0)
