@@ -332,20 +332,15 @@ def eval_graph(run_path, truth_path, **options) -> None:
 def cache(action, **options) -> None:
     """Inspect or clear the response cache."""
     try:
-        settings = _resolve_settings(**options)
+        cache_dir = _resolve_settings(**options).provider.cache_dir
+        if action == "stats":
+            count, size = cache_stats(cache_dir)
+            lines = [f"entries: {count}", f"bytes: {size}"]
+        else:
+            lines = [f"removed: {clear_cache(cache_dir)}"]
     except CausalTextError as exc:
         _fail(str(exc))
-    cache_dir = settings.provider.cache_dir
-    if action == "stats":
-        count, size = cache_stats(cache_dir)
-        click.echo(f"entries: {count}")
-        click.echo(f"bytes: {size}")
-        return
-    try:
-        removed = clear_cache(cache_dir)
-    except CausalTextError as exc:
-        _fail(str(exc))
-    click.echo(f"removed: {removed}")
+    click.echo("\n".join(lines))
 
 
 if __name__ == "__main__":

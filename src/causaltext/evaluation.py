@@ -293,11 +293,11 @@ def run_pairwise_eval(
     def ask(record: SemEvalRecord) -> tuple[OrientationQuestion | None, Verdict]:
         try:
             question = _record_question(record)
-        except ValueError:
+        except ValueError as exc:
             log.warning(
-                "record %d: cannot build a question (identical spans); "
-                "counting as unparsable",
+                "record %d: cannot build a question (%s); counting as unparsable",
                 record.record_id,
+                exc,
             )
             return None, Verdict.UNPARSABLE
         verdict, _ = _query_with_exchanges(question, gateway)

@@ -484,10 +484,23 @@ def run_lock(cache_dir: Path | str) -> Iterator[None]:
         yield
 
 
-def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
-    """Return (entry_count, total_bytes) for the cache directory."""
+def _existing_cache_dir(cache_dir: Path | str) -> Path | None:
+    """``cache_dir`` as a path, or None when nothing is there yet.
+
+    A path that exists but is no directory raises :class:`GatewayError`.
+    """
     cache_dir = Path(cache_dir)
-    if not cache_dir.is_dir():
+    if cache_dir.is_dir():
+        return cache_dir
+    if cache_dir.exists():
+        raise GatewayError(f"cache directory {cache_dir} is not a directory")
+    return None
+
+
+def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
+    """Return (entry_count, total_bytes) for the cache directory; (0, 0) if it is absent."""
+    cache_dir = _existing_cache_dir(cache_dir)
+    if cache_dir is None:
         return 0, 0
     entries = [p for p in cache_dir.glob("*.json") if p.is_file()]
     return len(entries), sum(p.stat().st_size for p in entries)
@@ -497,9 +510,10 @@ def clear_cache(cache_dir: Path | str) -> int:
     """Remove every cache entry under the run lock; refused while a run holds it.
 
     Scratch files a killed write left behind go too; only entries are counted.
+    An absent directory has nothing to remove.
     """
-    cache_dir = Path(cache_dir)
-    if not cache_dir.is_dir():
+    cache_dir = _existing_cache_dir(cache_dir)
+    if cache_dir is None:
         return 0
     removed = 0
     with run_lock(cache_dir):

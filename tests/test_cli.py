@@ -520,7 +520,26 @@ def test_cache_dir_that_is_a_file_is_an_error_line(tmp_path, runner):
         result = runner.invoke(main, args, env=env, catch_exceptions=False)
         assert result.exit_code == 1, (args[0], result.output)
         assert "error: cannot open run lock" in result.output
+    for action in ("stats", "clear"):
+        result = runner.invoke(main, ["cache", action], env=env, catch_exceptions=False)
+        assert result.exit_code == 1, (action, result.output)
+        assert f"error: cache directory {cache_file} is not a directory" in result.output
     assert cache_file.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_unreadable_cache_entry_does_not_stop_the_run(tmp_path, runner):
+    extract_args, _ = _lock_test_inputs(tmp_path)
+    first = runner.invoke(main, extract_args, env=_env(tmp_path), catch_exceptions=False)
+    assert first.exit_code == 0, first.output
+    entry = sorted((tmp_path / "cache").glob("*.json"))[0]
+    entry.unlink()
+    entry.mkdir()  # an entry that exists but cannot be read
+    again = [*extract_args[:-3], "--out", str(tmp_path / "again"), extract_args[-1]]
+    result = runner.invoke(main, again, env=_env(tmp_path), catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    for suffix in OUTPUT_SUFFIXES:
+        name = f"doc{suffix}"
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
 def test_unreadable_input_fails_alone(tmp_path, runner):
@@ -1157,6 +1176,29 @@ def test_config_file_value_of_the_wrong_json_type_exits_one(tmp_path, runner, ke
     )
     assert result.exit_code == 1, result.output
     assert f"error: config key {key!r} must be" in result.output
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read config file {path}: "),
+        ("{not json", "cannot read config file {path}: "),
+        ('["model", "m"]', "config file {path} must hold a JSON object"),
+    ],
+    ids=["unreadable", "not JSON", "not an object"],
+)
+def test_config_file_that_cannot_be_used_exits_one(tmp_path, runner, content, message):
+    config_path = tmp_path / "config.json"
+    if content is None:
+        config_path.mkdir()  # a directory cannot be read as a file
+    else:
+        config_path.write_text(content, encoding="utf-8")
+    result = runner.invoke(
+        main, ["cache", "stats", "--config", str(config_path)],
+        env=_env(tmp_path), catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: " + message.format(path=config_path) in result.output
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -75,12 +75,29 @@ def test_parse_semeval_tolerates_crlf():
     assert len(parse_semeval(text)) == 5
 
 
-def test_parse_semeval_reports_line_numbers():
-    bad = '1\t"The <e1>infection came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n'
+# a well-formed record on lines 1-3, ahead of each broken one
+_GOOD_RECORD = '1\t"<e1>a</e1> hits <e2>b</e2>."\nOther\n\n'
+
+
+@pytest.mark.parametrize(
+    "bad, line_number, reason",
+    [
+        ('2\t"The <e1>infection came from a <e2>wound</e2>."\nOther\n', 4, "missing tag </e1>"),
+        ('2\t"<e1>a</e1> <e1>b</e1> <e2>c</e2>."\nOther\n', 4, "repeated tag <e1>"),
+        ('2\t"</e1>a<e1> hits <e2>b</e2>."\nOther\n', 4, "close tag precedes its open tag"),
+        ('2 "<e1>a</e1> hits <e2>b</e2>."\nOther\n', 4, "expected '<id>"),
+        ('2\t"<e1></e1> hits <e2>b</e2>."\nOther\n', 4, "empty entity span"),
+        ('2\t"<e1>a</e1> hits <e2>b</e2>."\nOther\nComment:\nstray\n', 7,
+         "expected a blank separator line"),
+    ],
+    ids=["missing tag", "repeated tag", "close before open", "bad id line", "empty span",
+         "no blank separator"],
+)
+def test_parse_semeval_reports_line_numbers(bad, line_number, reason):
     with pytest.raises(ParseError) as excinfo:
-        parse_semeval(bad)
-    assert excinfo.value.line_number == 1
-    assert "</e1>" in excinfo.value.reason
+        parse_semeval(_GOOD_RECORD + bad)
+    assert excinfo.value.line_number == line_number
+    assert reason in excinfo.value.reason
 
 
 def test_parse_semeval_rejects_duplicate_ids():
@@ -261,7 +278,26 @@ def test_run_pairwise_eval_counts_identical_spans_unparsable(gateway_factory, ca
         report = run_pairwise_eval(records, gateway)
     assert report.confusion.unparsable == 1
     assert report.confusion.grid == ((0, 0), (0, 1))
-    assert any("identical spans" in record.message for record in caplog.records)
+    assert any(
+        "record 1: cannot build a question (a question needs two distinct entities)"
+        in record.message for record in caplog.records
+    )
+
+
+def test_run_pairwise_eval_names_why_a_blank_span_is_unparsable(gateway_factory, caplog):
+    # a whitespace-only span normalizes to an empty label, not to the other span
+    records = parse_semeval(
+        '7\t"The <e1> </e1> came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n\n'
+        '8\t"The <e1>infection</e1> came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n'
+    )
+    gateway, _ = gateway_factory(_fixture_for(records[1:], ["B"]))
+    with caplog.at_level("WARNING"):
+        report = run_pairwise_eval(records, gateway)
+    assert report.confusion.unparsable == 1
+    messages = [record.message for record in caplog.records]
+    assert any("record 7: cannot build a question (canonical_label must be non-empty)" in m
+               for m in messages), messages
+    assert not any("distinct" in m for m in messages)
 
 
 def test_run_pairwise_eval_rejects_empty_causal_subset(gateway_factory):

@@ -343,6 +343,24 @@ def test_cache_corrupt_entry_treated_as_miss(tmp_path, caplog):
     assert any("corrupt" in record.message for record in caplog.records)
 
 
+def test_cache_entry_that_cannot_be_read_is_a_miss(tmp_path, caplog):
+    gateway, transport = _cached_gateway(tmp_path, ["one", "two", "three"])
+    prompt = prompt_for("q")
+    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
+    path.mkdir(parents=True)  # the entry exists, but open() cannot read it
+    with caplog.at_level("WARNING"):
+        exchange = gateway.cached_complete(prompt)
+        again = gateway.cached_complete(prompt)
+    messages = [record.message for record in caplog.records]
+    assert any("unreadable (" in m and "treating as miss" in m for m in messages), messages
+    assert any("not written" in m for m in messages), messages
+    # the reply is still used; the entry could not be replaced, so the next call asks again
+    assert (exchange.reply_text, again.reply_text) == ("one", "two")
+    assert exchange.source is again.source is ExchangeSource.LIVE
+    assert transport.calls == 2
+    assert path.is_dir()
+
+
 def test_cache_entry_that_is_not_utf8_is_refetched_and_rewritten(tmp_path, caplog):
     gateway, transport = _cached_gateway(tmp_path, ["one", "two"])
     prompt = prompt_for("q")
@@ -449,6 +467,15 @@ def test_cache_stats_and_clear(tmp_path):
     assert size > 0
     assert clear_cache(cache_dir) == 2
     assert cache_stats(cache_dir) == (0, 0)
+
+
+def test_cache_stats_and_clear_refuse_a_file_at_the_cache_path(tmp_path):
+    cache_file = tmp_path / "cache_file"
+    cache_file.write_text("not a directory", encoding="utf-8")
+    for inspect in (cache_stats, clear_cache):
+        with pytest.raises(GatewayError, match="is not a directory"):
+            inspect(cache_file)
+    assert cache_file.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_provider_config_validation():
