@@ -268,36 +268,24 @@ def test_run_pairwise_eval_handles_reversed_tag_order(gateway_factory):
 
 
 def test_run_pairwise_eval_counts_identical_spans_unparsable(gateway_factory, caplog):
-    # both spans normalize to "fire": no question can be built, so none is asked
+    # both spans of record 1 normalize to "fire", and record 3's blank span to an
+    # empty label: no question can be built for either, so none is asked
     records = parse_semeval(
         '1\t"<e1>Fire</e1> spreads more <e2>fire</e2>."\nCause-Effect(e1,e2)\n\n'
-        '2\t"The <e1>infection</e1> came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n'
+        '2\t"The <e1>infection</e1> came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n\n'
+        '3\t"The <e1> </e1> came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n'
     )
-    gateway, _ = gateway_factory(_fixture_for(records[1:], ["B"]))
+    gateway, _ = gateway_factory(_fixture_for(records[1:2], ["B"]))
     with caplog.at_level("WARNING"):
         report = run_pairwise_eval(records, gateway)
-    assert report.confusion.unparsable == 1
+    assert report.confusion.unparsable == 2
     assert report.confusion.grid == ((0, 0), (0, 1))
-    assert any(
-        "record 1: cannot build a question (a question needs two distinct entities)"
-        in record.message for record in caplog.records
-    )
-
-
-def test_run_pairwise_eval_names_why_a_blank_span_is_unparsable(gateway_factory, caplog):
-    # a whitespace-only span normalizes to an empty label, not to the other span
-    records = parse_semeval(
-        '7\t"The <e1> </e1> came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n\n'
-        '8\t"The <e1>infection</e1> came from a <e2>wound</e2>."\nCause-Effect(e2,e1)\n'
-    )
-    gateway, _ = gateway_factory(_fixture_for(records[1:], ["B"]))
-    with caplog.at_level("WARNING"):
-        report = run_pairwise_eval(records, gateway)
-    assert report.confusion.unparsable == 1
     messages = [record.message for record in caplog.records]
-    assert any("record 7: cannot build a question (canonical_label must be non-empty)" in m
-               for m in messages), messages
-    assert not any("distinct" in m for m in messages)
+    for expected in (
+        "record 1: cannot build a question (a question needs two distinct entities)",
+        "record 3: cannot build a question (canonical_label must be non-empty)",
+    ):
+        assert any(expected in message for message in messages), messages
 
 
 def test_run_pairwise_eval_rejects_empty_causal_subset(gateway_factory):

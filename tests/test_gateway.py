@@ -469,15 +469,6 @@ def test_cache_stats_and_clear(tmp_path):
     assert cache_stats(cache_dir) == (0, 0)
 
 
-def test_cache_stats_and_clear_refuse_a_file_at_the_cache_path(tmp_path):
-    cache_file = tmp_path / "cache_file"
-    cache_file.write_text("not a directory", encoding="utf-8")
-    for inspect in (cache_stats, clear_cache):
-        with pytest.raises(GatewayError, match="is not a directory"):
-            inspect(cache_file)
-    assert cache_file.read_text(encoding="utf-8") == "not a directory"
-
-
 def test_provider_config_validation():
     with pytest.raises(ValueError):
         ProviderConfig(temperature=3.0)
