@@ -21,7 +21,7 @@ import os
 import random
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -137,18 +137,25 @@ class ReplayFixture:
             )
 
     def save(self, path: Path | str) -> None:
-        """Write the fixture; a file error raises :class:`GatewayError`."""
+        """Write the fixture atomically; a file error raises :class:`GatewayError`.
+
+        The file is written next to ``path`` as ``<path>.tmp`` and then moved
+        over it, so a failed or killed save leaves the old file as it was.
+        """
         payload = {
             "entries": {
                 fingerprint: {"reply": entry.reply_text, "latency": entry.latency}
                 for fingerprint, entry in sorted(self.entries.items())
             },
         }
+        scratch = f"{os.fspath(path)}.tmp"
         try:
-            Path(path).write_text(
-                json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-            )
+            with open(scratch, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+            os.replace(scratch, path)
         except OSError as exc:
+            with suppress(OSError):
+                os.unlink(scratch)
             raise GatewayError(f"cannot save replay fixture {path}: {exc}") from None
 
     @classmethod
@@ -219,6 +226,20 @@ class Transport(Protocol):
         """Return (reply_text, latency_seconds) for the prompt."""
 
 
+def _bearer(api_key: str) -> Callable[[requests.PreparedRequest], requests.PreparedRequest]:
+    """A ``requests`` auth hook that sends ``api_key`` as a Bearer token.
+
+    Given as ``auth=``, it also keeps ``requests`` from looking the host up
+    in a netrc file, whose entry would replace the header with Basic auth.
+    """
+
+    def sign(request: requests.PreparedRequest) -> requests.PreparedRequest:
+        request.headers["Authorization"] = f"Bearer {api_key}"
+        return request
+
+    return sign
+
+
 class LiveTransport:
     """HTTP chat-completions client with a shared token-bucket limiter."""
 
@@ -237,10 +258,7 @@ class LiveTransport:
 
     def send(self, prompt: RenderedPrompt) -> tuple[str, float]:
         self._limiter.acquire()
-        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self._config.api_key_env)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         payload = {
             "model": self._config.model_name,
             "temperature": self._config.temperature,
@@ -251,7 +269,8 @@ class LiveTransport:
             response = requests.post(
                 self._config.endpoint_url,
                 json=payload,
-                headers=headers,
+                headers={"Content-Type": "application/json"},
+                auth=_bearer(api_key) if api_key else None,
                 timeout=REQUEST_TIMEOUT_S,
             )
         except (requests.Timeout, requests.ConnectionError) as exc:
@@ -295,13 +314,38 @@ class ReplayTransport:
         return entry.reply_text, entry.latency
 
 
+def _key_suffix(config: ProviderConfig) -> str:
+    """What a cache key holds after the prompt fingerprint."""
+    return f"|{config.model_name}|{config.temperature!r}"
+
+
 def _cache_key(config: ProviderConfig, prompt: RenderedPrompt) -> str:
-    return f"{prompt.fingerprint}|{config.model_name}|{config.temperature!r}"
+    """The cache key of a live query; a replay transport's keys add ``replay|`` in front."""
+    return prompt.fingerprint + _key_suffix(config)
+
+
+def _entry_name(key: str) -> str:
+    return hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json"
 
 
 def _cache_path(cache_dir: str | Path, key: str) -> str:
-    name = hashlib.sha256(key.encode("utf-8")).hexdigest()
-    return os.path.join(cache_dir, f"{name}.json")
+    """Where the entry for ``key`` lives; :class:`Gateway` builds the same string."""
+    return os.path.join(cache_dir, _entry_name(key))
+
+
+_READ_CHUNK = 1 << 16
+
+
+def _read_file(path: str) -> bytes:
+    """The whole file at ``path``, read to EOF through one descriptor."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _checksum(reply_text: str) -> str:
@@ -327,6 +371,11 @@ class Gateway:
         self._transport = transport
         self._record = record
         self._cache_dir = os.fspath(config.cache_dir)
+        # built once, so a query's key and entry path are concatenations equal to
+        # _cache_key (behind "replay|" for a replay transport) and _cache_path
+        self._key_prefix = "replay|" if transport.source is ExchangeSource.REPLAY else ""
+        self._key_suffix = _key_suffix(config)
+        self._entry_prefix = os.path.join(self._cache_dir, "")
         # key -> [lock, callers holding or awaiting it]; only keys with a miss in flight
         self._key_locks: dict[str, list] = {}
         self._locks_guard = threading.Lock()
@@ -375,19 +424,19 @@ class Gateway:
 
         The cache key includes model name and temperature, and a replay
         transport's keys carry a ``replay|`` prefix, so a fixture's reply
-        never answers a live run. A hit is read as bytes and parsed once; a
-        corrupt entry (bytes that are not UTF-8 JSON, a wrong key, a checksum
-        mismatch or a bad latency) is logged and treated as a miss, and the
-        refetched reply overwrites it. Writes are atomic and serialized per
-        key, so concurrent callers of the same prompt trigger at most one
-        provider call; a key's lock is dropped once no caller holds or awaits
-        it. An empty completion, or one whose cache write fails (logged), is
-        returned and recorded but not cached, so a later run asks again.
+        never answers a live run. A hit is read as bytes through one file
+        descriptor and parsed once. An entry that cannot be read (a directory
+        at its path, say) or is corrupt (bytes that are not UTF-8 JSON, a
+        wrong key, a checksum mismatch or a bad latency) is logged and treated
+        as a miss, and the refetched reply overwrites it. Writes are atomic
+        and serialized per key, so concurrent callers of the same prompt
+        trigger at most one provider call; a key's lock is dropped once no
+        caller holds or awaits it. An empty completion, or one whose cache
+        write fails (logged), is returned and recorded but not cached, so a
+        later run asks again.
         """
-        key = _cache_key(self._config, prompt)
-        if self._transport.source is ExchangeSource.REPLAY:
-            key = f"replay|{key}"
-        path = _cache_path(self._cache_dir, key)
+        key = self._key_prefix + prompt.fingerprint + self._key_suffix
+        path = self._entry_prefix + _entry_name(key)
         exchange = self._read_cache_entry(path, key, prompt)
         if exchange is None:
             with self._key_lock(key):
@@ -420,8 +469,7 @@ class Gateway:
         self, path: str, key: str, prompt: RenderedPrompt
     ) -> ChatExchange | None:
         try:
-            with open(path, "rb", buffering=0) as handle:
-                raw = handle.read()
+            raw = _read_file(path)
         except FileNotFoundError:
             return None
         except OSError as exc:

@@ -121,29 +121,54 @@ def _fields(format_string: str) -> list[str]:
     return [name for _, name, _, _ in Formatter().parse(format_string) if name is not None]
 
 
+# a field's conversion -> what it applies to the label; None leaves the label as it is
+_CONVERSIONS = {None: None, "s": str, "r": repr, "a": ascii}
+
+
+def _compile_tail(format_string: str) -> tuple[tuple, tuple] | None:
+    """``format_string`` as literal pieces and entity slots, or None when it cannot be.
+
+    Only the fields ``entity_a`` and ``entity_b`` qualify, with no format
+    spec and a ``!s``, ``!r`` or ``!a`` conversion or none. Each slot is
+    (index into the pieces, field name, conversion); the pieces hold None at
+    the slots. Filling the slots and joining the pieces equals
+    ``format_string.format(entity_a=..., entity_b=...)`` for string labels.
+    """
+    pieces, slots = [], []
+    for literal, name, spec, conversion in Formatter().parse(format_string):
+        pieces.append(literal)
+        if name is None:
+            continue
+        if name not in ("entity_a", "entity_b") or spec or conversion not in _CONVERSIONS:
+            return None
+        slots.append((len(pieces), name, _CONVERSIONS[conversion]))
+        pieces.append(None)
+    return tuple(pieces), tuple(slots)
+
+
 @lru_cache(maxsize=None)
-def _orientation_template() -> tuple[str, str]:
+def _orientation_template() -> tuple[str, hashlib._Hash, tuple[tuple, tuple]]:
     """The orientation template split at its one ``{source_text}`` field.
 
-    Gives the literal text before the field and the format string after it,
-    whose only fields are ``entity_a`` and ``entity_b``. Any other template
-    raises :class:`ValueError` rather than render a different prompt.
+    Gives the literal text before the field, the fingerprint state that has
+    hashed the empty system text, the separator and that text, and the
+    text after the field compiled by :func:`_compile_tail`. Any other
+    template, a format spec included, raises :class:`ValueError` rather
+    than render a different prompt.
     """
     head, marker, tail = _template("orientation.txt").partition("{source_text}")
     try:
-        valid = (
-            bool(marker)
-            and not _fields(head)
-            and set(_fields(tail)) <= {"entity_a", "entity_b"}
-        )
+        compiled = _compile_tail(tail) if marker and not _fields(head) else None
     except ValueError:  # a lone brace
-        valid = False
-    if not valid:
+        compiled = None
+    if compiled is None:
         raise ValueError(
             "the orientation template must hold {source_text} exactly once, with "
-            "entity_a and entity_b as its only other fields, all after it"
+            "entity_a and entity_b as its only other fields, all after it, with no "
+            "format spec and no conversion but !r, !s or !a"
         )
-    return head.format(), tail
+    head = head.format()
+    return head, hashlib.sha256(b"\x1f" + head.encode("utf-8")), compiled
 
 
 @lru_cache(maxsize=4)
@@ -153,25 +178,31 @@ def _orientation_head(source_text: str) -> tuple[str, hashlib._Hash]:
     The state has hashed the empty system text, the separator and the head;
     callers ``copy()`` it and never update it, so threads can share it.
     """
-    head = _orientation_template()[0] + source_text
-    digest = hashlib.sha256(b"\x1f")
-    digest.update(head.encode("utf-8"))
-    return head, digest
+    head, head_digest, _ = _orientation_template()
+    digest = head_digest.copy()
+    digest.update(source_text.encode("utf-8"))
+    return head + source_text, digest
 
 
 def render_orientation_prompt(question: OrientationQuestion) -> RenderedPrompt:
     """Render the three-option orientation prompt for one entity pair.
 
     The prompt head (template prefix plus source text) and its hash are built
-    once per text and kept in a small bounded memo, so each pair formats and
-    hashes only the entity tail. The result, fingerprint included, equals
-    ``RenderedPrompt.create("", template.format(...))``.
+    once per text and kept in a small bounded memo, so each pair only fills
+    the slots of the precompiled tail and hashes it. The result, fingerprint
+    included, equals ``RenderedPrompt.create("", template.format(...))``.
     """
     head, head_digest = _orientation_head(question.source_text)
-    tail = _orientation_template()[1].format(
-        entity_a=question.entity_a.canonical_label,
-        entity_b=question.entity_b.canonical_label,
-    )
+    pieces, slots = _orientation_template()[2]
+    labels = {
+        "entity_a": question.entity_a.canonical_label,
+        "entity_b": question.entity_b.canonical_label,
+    }
+    filled = list(pieces)
+    for index, name, convert in slots:
+        label = labels[name]
+        filled[index] = label if convert is None else convert(label)
+    tail = "".join(filled)
     digest = head_digest.copy()
     digest.update(tail.encode("utf-8"))
     return RenderedPrompt("", head + tail, digest.hexdigest())

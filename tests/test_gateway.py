@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from causaltext import gateway as gateway_module
 from causaltext.errors import (
     AuthError,
     DuplicateFingerprintError,
@@ -92,6 +96,43 @@ def test_fixture_add_round_trip(tmp_path):
     assert set(loaded.entries) == {e.prompt.fingerprint for e in exchanges}
     for exchange in exchanges[:2]:
         assert loaded.entries[exchange.prompt.fingerprint].reply_text == exchange.reply_text
+
+
+_SAVE_UNDER_A_FILE_SIZE_LIMIT = textwrap.dedent("""
+    import resource, signal, sys
+    from causaltext.errors import GatewayError
+    from causaltext.gateway import ReplayEntry, ReplayFixture
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+    fixture = ReplayFixture({f"fp{i}": ReplayEntry("r" * 100) for i in range(100)})
+    try:
+        fixture.save(sys.argv[1])
+    except GatewayError as exc:
+        print(exc)
+        sys.exit(3)
+""")
+
+
+def test_a_failed_fixture_save_leaves_the_old_file_as_it_was(tmp_path):
+    path = tmp_path / "fixture.json"
+    ReplayFixture({"fp": ReplayEntry("the old reply", 1.5)}).save(path)
+    old = path.read_bytes()
+    package_root = str(Path(gateway_module.__file__).resolve().parents[1])
+    # a child process, so the file-size limit binds nothing else
+    child = subprocess.run(
+        [sys.executable, "-c", _SAVE_UNDER_A_FILE_SIZE_LIMIT, str(path)],
+        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 3, child.stderr
+    assert "cannot save replay fixture" in child.stdout
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fixture.json"]
+    # a save that succeeds replaces the file and leaves no scratch file
+    ReplayFixture({"fp": ReplayEntry("a new reply")}).save(path)
+    assert ReplayFixture.load(path).entries == {"fp": ReplayEntry("a new reply")}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fixture.json"]
 
 
 def test_fixture_add_empty_and_conflicting():
@@ -197,6 +238,18 @@ def test_live_success_and_wire_shape(fake_endpoint, monkeypatch):
     ]
 
 
+def test_live_key_is_a_bearer_token_even_with_a_netrc_entry(fake_endpoint, monkeypatch, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+    fake_endpoint.script.append((200, GOOD_PAYLOAD))
+    config = _live_config(fake_endpoint)
+    Gateway(config, LiveTransport(config)).complete(prompt_for("q"))
+    assert fake_endpoint.requests[0]["headers"]["Authorization"] == "Bearer sk-test"
+
+
 def test_live_omits_system_message_when_empty(fake_endpoint, monkeypatch):
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
     fake_endpoint.script.append((200, GOOD_PAYLOAD))
@@ -275,6 +328,54 @@ def test_cached_complete_memoizes(tmp_path):
     assert second.source is ExchangeSource.CACHE
     assert second.reply_text == "the reply"
     assert second.latency == first.latency
+
+
+@pytest.mark.parametrize("replay", [False, True], ids=["live", "replay"])
+@pytest.mark.parametrize("form", ["str", "path", "relative", "trailing-slash"])
+def test_a_hit_reads_exactly_the_cache_path_of_the_cache_key(tmp_path, monkeypatch, form, replay):
+    monkeypatch.chdir(tmp_path)
+    cache_dir = {
+        "str": str(tmp_path / "cache"),
+        "path": tmp_path / "cache",
+        "relative": "cache",
+        "trailing-slash": f"{tmp_path / 'cache'}{os.sep}",
+    }[form]
+    config = ProviderConfig(cache_dir=cache_dir)
+    prompt = prompt_for("q")
+    if replay:
+        transport = ReplayTransport(ReplayFixture({prompt.fingerprint: ReplayEntry("the reply")}))
+    else:
+        transport = ScriptedTransport(["the reply"])
+    gateway = Gateway(config, transport)
+    gateway.cached_complete(prompt)
+    key = ("replay|" if replay else "") + _cache_key(config, prompt)
+    expected = _cache_path(cache_dir, key)
+    assert json.loads(Path(expected).read_text(encoding="utf-8"))["key"] == key
+
+    opened = []
+    real_open = os.open
+
+    def spy(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    exchange = gateway.cached_complete(prompt)
+    assert (exchange.source, exchange.reply_text) == (ExchangeSource.CACHE, "the reply")
+    assert opened == [expected]
+
+
+def test_a_reply_larger_than_one_read_chunk_survives_a_write_and_a_hit(tmp_path):
+    # quotes, newlines and two-byte characters, so the entry escapes and chunks split them
+    reply = 'a "b"\né' * (1 << 18)
+    gateway, transport = _cached_gateway(tmp_path, [reply])
+    prompt = prompt_for("q")
+    assert gateway.cached_complete(prompt).reply_text == reply
+    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
+    assert path.stat().st_size > 1 << 20 > gateway_module._READ_CHUNK
+    exchange = gateway.cached_complete(prompt)
+    assert (exchange.source, exchange.reply_text) == (ExchangeSource.CACHE, reply)
+    assert transport.calls == 1
 
 
 def test_cache_key_discriminates_model_and_temperature(tmp_path):

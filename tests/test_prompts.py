@@ -4,6 +4,7 @@ import string
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -143,31 +144,70 @@ def _entity(label: str) -> Entity:
     return Entity(id=label, canonical_label=label)
 
 
+@contextmanager
+def _rendering_with(template: str):
+    """Render with a stand-in orientation template; the memos are rebuilt around it."""
+    saved = prompts._template
+    prompts._template = lambda name: template
+    prompts._orientation_template.cache_clear()
+    prompts._orientation_head.cache_clear()
+    try:
+        yield
+    finally:
+        prompts._template = saved
+        prompts._orientation_template.cache_clear()
+        prompts._orientation_head.cache_clear()
+
+
+_PERCENT_SIGNS = ["%", "%%", "%s", "%(entity_a)s", "%(entity_b)r"]
 _TRICKY = st.sampled_from(
-    ["{", "}", "{{", "%", "%s", "{entity_a}", "{source_text}", "é", "\U0001f600", "\r\n", " "]
+    ["{", "}", "{{", "{entity_a}", "{source_text}", "é", "\U0001f600", "\r\n", " "]
+    + _PERCENT_SIGNS
 )
 _source_texts = st.lists(st.one_of(st.text(max_size=8), _TRICKY), max_size=12).map("".join)
 _labels = (
-    st.lists(st.one_of(st.text(max_size=5), st.sampled_from(["{", "}", '"', "'", "{entity_b}"])),
+    st.lists(st.one_of(st.text(max_size=5),
+                       st.sampled_from(["{", "}", '"', "'", "{entity_b}"] + _PERCENT_SIGNS)),
              min_size=1, max_size=4)
     .map(lambda parts: normalize_label("".join(parts)))
     .filter(bool)
 )
 _MEMO_SIZE = prompts._orientation_head.cache_info().maxsize
+# Stand-ins for the shipped template: literal percent signs, empty format specs
+# and every conversion a field may carry.
+_TRICKY_TEMPLATES = [
+    "100% of {{ %% %s %(entity_a)s\n{source_text}\n%{entity_a}% {entity_b:} %(entity_b)s%",
+    "{source_text}{entity_a!r}|{entity_b!s}|{entity_a!a}|{entity_b!a}|{entity_b}{{%}}",
+]
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(
+_texts_and_pairs = dict(
     texts=st.lists(_source_texts, min_size=_MEMO_SIZE + 1, max_size=_MEMO_SIZE + 3, unique=True),
     pairs=st.lists(st.tuples(_labels, _labels).filter(lambda p: p[0] != p[1]),
                    min_size=1, max_size=3),
 )
-def test_orientation_render_equals_one_format_of_the_whole_template(texts, pairs):
+
+
+def _assert_each_renders_as_formatted(texts, pairs):
     # texts interleave and outnumber the memo, so its entries are evicted and rebuilt
     for label_a, label_b in pairs:
         for text in texts:
             question = OrientationQuestion(text, _entity(label_a), _entity(label_b))
             assert render_orientation_prompt(question) == _whole_template_render(question)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(**_texts_and_pairs)
+def test_orientation_render_equals_one_format_of_the_whole_template(texts, pairs):
+    _assert_each_renders_as_formatted(texts, pairs)
+
+
+@pytest.mark.parametrize("template", _TRICKY_TEMPLATES)
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(**_texts_and_pairs)
+def test_a_stand_in_template_renders_as_one_format_of_it(template, texts, pairs):
+    with _rendering_with(template):
+        _assert_each_renders_as_formatted(texts, pairs)
 
 
 def test_orientation_render_from_four_threads_at_once():
@@ -203,17 +243,10 @@ def test_orientation_template_holds_the_text_once_and_only_entity_fields():
 
 
 @pytest.fixture
-def orientation_template(monkeypatch):
+def orientation_template():
     """Render with a stand-in orientation template; the memos are rebuilt around it."""
-
-    def use(template: str) -> None:
-        monkeypatch.setattr(prompts, "_template", lambda name: template)
-        prompts._orientation_template.cache_clear()
-        prompts._orientation_head.cache_clear()
-
-    yield use
-    prompts._orientation_template.cache_clear()
-    prompts._orientation_head.cache_clear()
+    with ExitStack() as stack:
+        yield lambda template: stack.enter_context(_rendering_with(template))
 
 
 @pytest.mark.parametrize("template", [
@@ -225,6 +258,12 @@ def orientation_template(monkeypatch):
     "{source_text!r} {entity_a}",
     "{{source_text}} {entity_a}",
     "{source_text} {entity_a.upper}",
+    # a format spec is refused, not rendered: the tail is compiled without one
+    "{source_text} {entity_a:>10}",
+    "{source_text} {entity_b!r:>3}",
+    "{source_text} {entity_a:{entity_b}}",
+    # a conversion str.format does not know
+    "{source_text} {entity_a!x}",
 ])
 def test_an_orientation_template_that_cannot_be_split_raises(orientation_template, template):
     orientation_template(template)
