@@ -30,6 +30,7 @@ from .gateway import (
     ProviderConfig,
     ReplayFixture,
     ReplayTransport,
+    _write_atomically,
     cache_stats,
     clear_cache,
     run_lock,
@@ -219,9 +220,13 @@ def _read_input(path: str) -> str:
 def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        _write_atomically(path, text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from None
+
+
+def _write_json(path: Path, payload: object) -> None:
+    _write(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 def _fail(message: str, code: int = 1) -> None:
@@ -263,10 +268,8 @@ def extract(inputs, **options) -> None:
                     _write(out / f"{stem}.graph.json",
                            serialize_graph(run.graph, GraphFormat.STRUCTURED))
                     _write(out / f"{stem}.dot", serialize_graph(run.graph, GraphFormat.DOT))
-                    _write(out / f"{stem}.cycles.json",
-                           json.dumps(run.cycle_report.to_dict(), indent=2) + "\n")
-                    _write(out / f"{stem}.stats.json",
-                           json.dumps(run_report(run), indent=2, ensure_ascii=False) + "\n")
+                    _write_json(out / f"{stem}.cycles.json", run.cycle_report.to_dict())
+                    _write_json(out / f"{stem}.stats.json", run_report(run))
                 except CausalTextError as exc:
                     failures += 1
                     click.echo(f"error: {path}: {exc}", err=True)
@@ -290,8 +293,7 @@ def eval_pairs(semeval_path, **options) -> None:
         records = parse_semeval(_read_input(semeval_path))
         with _run_session(settings) as gateway:
             report = run_pairwise_eval(records, gateway)
-        _write(settings.out_dir / "pairwise_report.json",
-               json.dumps(report.to_dict(), indent=2) + "\n")
+        _write_json(settings.out_dir / "pairwise_report.json", report.to_dict())
     except CausalTextError as exc:
         _fail(str(exc))
 
@@ -312,8 +314,7 @@ def eval_graph(run_path, truth_path, **options) -> None:
         extracted = parse_graph(_read_input(run_path), GraphKind.EXTRACTED)
         truth = parse_graph(_read_input(truth_path), GraphKind.GROUND_TRUTH)
         comparison = compare_graphs(extracted, truth)
-        _write(settings.out_dir / "graph_comparison.json",
-               json.dumps(comparison.to_dict(), indent=2) + "\n")
+        _write_json(settings.out_dir / "graph_comparison.json", comparison.to_dict())
     except CausalTextError as exc:
         _fail(str(exc))
     share = comparison.transitive_fp_share

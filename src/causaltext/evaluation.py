@@ -70,6 +70,9 @@ class SemEvalRecord:
 
 
 _ID_LINE = re.compile(r"^(\d+)\t\"(.*)\"$")
+# only these end a line: str.splitlines() also breaks at \x0b, \x0c, \x1c-\x1e,
+# \x85, \u2028 and \u2029, which a sentence may hold
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 _TAG = re.compile(r"</?e[12]>")
 
 
@@ -96,8 +99,8 @@ def _split_tagged_sentence(tagged: str, line_number: int) -> tuple[str, dict[str
 
 
 def parse_semeval(file_text: str) -> tuple[SemEvalRecord, ...]:
-    """Parse a benchmark file into records; LF and CRLF are both accepted."""
-    lines = file_text.splitlines()
+    """Parse a benchmark file into records; LF, CRLF and CR all end a line."""
+    lines = _LINE_BREAK.split(file_text)
     records: list[SemEvalRecord] = []
     seen_ids: set[int] = set()
     index = 0

@@ -108,6 +108,23 @@ def _checked_latency(value: object) -> float:
     return float(value)
 
 
+def _write_atomically(path: Path | str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``<path>.tmp``, then rename it over ``path``.
+
+    A failed or killed write leaves the old file as it was. On an
+    :class:`OSError` the scratch file is removed and the error re-raised.
+    """
+    scratch = f"{os.fspath(path)}.tmp"
+    try:
+        with open(scratch, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(scratch, path)
+    except OSError:
+        with suppress(OSError):
+            os.unlink(scratch)
+        raise
+
+
 @dataclass(frozen=True)
 class ReplayEntry:
     reply_text: str
@@ -148,14 +165,9 @@ class ReplayFixture:
                 for fingerprint, entry in sorted(self.entries.items())
             },
         }
-        scratch = f"{os.fspath(path)}.tmp"
         try:
-            with open(scratch, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
-            os.replace(scratch, path)
+            _write_atomically(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
         except OSError as exc:
-            with suppress(OSError):
-                os.unlink(scratch)
             raise GatewayError(f"cannot save replay fixture {path}: {exc}") from None
 
     @classmethod
@@ -348,6 +360,14 @@ def _read_file(path: str) -> bytes:
     return b"".join(chunks)
 
 
+def _encodable(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _checksum(reply_text: str) -> str:
     return hashlib.sha256(reply_text.encode("utf-8")).hexdigest()
 
@@ -390,7 +410,9 @@ class Gateway:
 
         Total attempts never exceed ``max_retries + 1``; credential failures
         are never retried. Exhausted retries raise
-        :class:`ProviderUnavailableError`.
+        :class:`ProviderUnavailableError`. A reply that cannot be encoded as
+        UTF-8 (one holding a lone surrogate) could be neither cached nor
+        recorded, so it raises :class:`MalformedProviderResponseError`.
         """
         retries = 0
         while True:
@@ -398,6 +420,10 @@ class Gateway:
                 raise AuthError(str(self._auth_error))
             try:
                 reply, latency = self._transport.send(prompt)
+                if not _encodable(reply):
+                    raise MalformedProviderResponseError(
+                        "reply is not valid Unicode text (it holds a lone surrogate)"
+                    )
                 return ChatExchange(
                     prompt=prompt,
                     reply_text=reply,
@@ -497,12 +523,9 @@ class Gateway:
             "latency": exchange.latency,
             "checksum": _checksum(exchange.reply_text),
         }
-        scratch = os.path.splitext(path)[0] + ".tmp"
         try:
             os.makedirs(self._cache_dir, exist_ok=True)
-            with open(scratch, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, indent=2, ensure_ascii=False))
-            os.replace(scratch, path)
+            _write_atomically(path, json.dumps(record, indent=2, ensure_ascii=False))
         except OSError as exc:
             log.warning("cache entry %s not written (%s); a later run asks again", path, exc)
 

@@ -436,14 +436,11 @@ def _parse_entity_record(record: object) -> Entity:
     forms = _field(record, "surface_forms", list, [])
     if not all(isinstance(form, str) for form in forms):
         raise GraphFileError(f"'surface_forms' must hold strings, not {forms!r}")
-    try:
-        return Entity(
-            id=_field(record, "id", str),
-            canonical_label=_field(record, "canonical_label", str),
-            surface_forms=frozenset(forms),
-        )
-    except ValueError as exc:
-        raise GraphFileError(str(exc)) from None
+    return Entity(
+        id=_field(record, "id", str),
+        canonical_label=_field(record, "canonical_label", str),
+        surface_forms=frozenset(forms),
+    )
 
 
 def _parse_arc_record(record: object) -> Arc:
@@ -452,10 +449,7 @@ def _parse_arc_record(record: object) -> Arc:
         flags = frozenset(ArcFlag(name) for name in _field(record, "flags", list, []))
     except ValueError:
         raise GraphFileError(f"unknown arc flag in {record!r}") from None
-    try:
-        return Arc(cause, effect, flags)
-    except SelfLoopError as exc:
-        raise GraphFileError(str(exc)) from None
+    return Arc(cause, effect, flags)
 
 
 def parse_graph(text: str, kind: GraphKind = GraphKind.EXTRACTED) -> CausalGraph:
@@ -464,9 +458,9 @@ def parse_graph(text: str, kind: GraphKind = GraphKind.EXTRACTED) -> CausalGraph
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFileError(f"not valid JSON: {exc}") from None
-    entities = [_parse_entity_record(r) for r in _field(payload, "entities", list)]
-    arcs = [_parse_arc_record(r) for r in _field(payload, "arcs", list)]
     try:
+        entities = [_parse_entity_record(r) for r in _field(payload, "entities", list)]
+        arcs = [_parse_arc_record(r) for r in _field(payload, "arcs", list)]
         return CausalGraph(kind, entities, arcs)
-    except (UnknownEntityError, OppositeArcConflictError, ValueError) as exc:
+    except (SelfLoopError, UnknownEntityError, OppositeArcConflictError, ValueError) as exc:
         raise GraphFileError(str(exc)) from None

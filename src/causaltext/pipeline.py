@@ -178,6 +178,12 @@ def enumerate_pairs(
 def _query_with_exchanges(
     question: OrientationQuestion, gateway: Gateway
 ) -> tuple[Verdict, tuple[ChatExchange, ...]]:
+    """Ask one pairwise orientation question: its verdict and the exchanges it took.
+
+    An unparsable reply triggers exactly one re-ask with a reminder to answer
+    inside the tags; a second unparsable reply is returned as a value, not an
+    error, so one flaky reply cannot abort a long run.
+    """
     prompt = render_orientation_prompt(question)
     first = gateway.cached_complete(prompt)
     verdict = parse_verdict(first.reply_text)
@@ -185,16 +191,6 @@ def _query_with_exchanges(
         return verdict, (first,)
     retry = gateway.cached_complete(render_reask_prompt(prompt))
     return parse_verdict(retry.reply_text), (first, retry)
-
-
-def query_orientation(question: OrientationQuestion, gateway: Gateway) -> Verdict:
-    """Ask one pairwise orientation question.
-
-    An unparsable reply triggers exactly one re-ask with a reminder to answer
-    inside the tags; a second unparsable reply is returned as a value, not an
-    error, so one flaky reply cannot abort a long run.
-    """
-    return _query_with_exchanges(question, gateway)[0]
 
 
 def build_graph(

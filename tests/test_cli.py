@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import causaltext
-from causaltext.cli import _resolve_settings, main
+from causaltext.cli import _resolve_settings, _write, main
 from causaltext.errors import CausalTextError
 from causaltext.gateway import ProviderConfig, ReplayEntry, ReplayFixture, run_lock
 from causaltext.graph import (
@@ -23,6 +24,7 @@ from causaltext.graph import (
     serialize_graph,
 )
 from causaltext.pipeline import PipelineConfig
+from causaltext.prompts import OrientationQuestion, render_entity_prompt, render_orientation_prompt
 from helpers import transitive_flagged
 from synth import benchmark_with_scripted_replies, pipeline_document
 
@@ -109,6 +111,37 @@ def test_extract_partial_batch_failure_exits_two(tmp_path, runner):
     assert (out / "doc0.graph.json").exists()
     assert (out / "doc1.graph.json").exists()
     assert not (out / "doc2.graph.json").exists()
+
+
+def test_a_reply_holding_a_lone_surrogate_fails_only_its_document(tmp_path, runner):
+    entries = {}
+    docs = []
+    for index, size in enumerate((3, 4)):
+        source_text, fixture = pipeline_document(size)
+        entries.update(fixture.entries)
+        doc = tmp_path / f"doc{index}.txt"
+        doc.write_text(source_text, encoding="utf-8")
+        docs.append(str(doc))
+    fixture_path = tmp_path / "fixture.json"
+    ReplayFixture(entries=entries).save(fixture_path)
+    payload = json.loads(fixture_path.read_text(encoding="utf-8"))
+    # a pair question of doc1 only, answered with half a surrogate pair as JSON writes it
+    poisoned = next(fp for fp in fixture.entries if "<Answer>" in fixture.entries[fp].reply_text)
+    payload["entries"][poisoned]["reply"] = "the cause is \ud83d\n<Answer>A</Answer>"
+    fixture_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert "\\ud83d" in fixture_path.read_text(encoding="utf-8")
+
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["extract", "--replay", str(fixture_path), "--out", str(out), *docs],
+        env=_env(tmp_path), catch_exceptions=False,
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {docs[1]}: " in result.output
+    assert "lone surrogate" in result.output
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"doc0{suffix}" for suffix in OUTPUT_SUFFIXES
+    )
 
 
 def test_extract_inputs_sharing_a_stem_exit_one(tmp_path, runner):
@@ -444,7 +477,7 @@ def test_failed_cache_write_leaves_the_batch_running(tmp_path, runner):
     assert extract("reference", "reference_cache").exit_code == 0
     names = sorted(p.name for p in (tmp_path / "reference_cache").glob("*.json"))
     # a directory where one entry's scratch file goes makes that write fail
-    blocked = Path(names[0]).with_suffix(".tmp")
+    blocked = f"{names[0]}.tmp"
     (tmp_path / "cache" / blocked).mkdir(parents=True)
     result = extract("out", "cache")
     assert result.exit_code == 0, result.output
@@ -454,6 +487,38 @@ def test_failed_cache_write_leaves_the_batch_running(tmp_path, runner):
             assert written == (tmp_path / "reference" / f"{name}{suffix}").read_bytes()
     cached = sorted(p.name for p in (tmp_path / "cache").glob("*.json"))
     assert cached == names[1:]
+
+
+_WRITE_UNDER_A_FILE_SIZE_LIMIT = textwrap.dedent("""
+    import resource, signal, sys
+    from pathlib import Path
+    from causaltext.cli import ConfigurationError, _write
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+    try:
+        _write(Path(sys.argv[1]), "r" * 10_000)
+    except ConfigurationError as exc:
+        print(exc)
+        sys.exit(3)
+""")
+
+
+def test_a_failed_output_write_leaves_the_old_file_as_it_was(tmp_path):
+    path = tmp_path / "doc.cycles.json"
+    _write(path, '{"is_acyclic": true, "cycles": []}\n')
+    old = path.read_bytes()
+    package_root = str(Path(causaltext.__file__).resolve().parents[1])
+    # a child process, so the file-size limit binds nothing else
+    child = subprocess.run(
+        [sys.executable, "-c", _WRITE_UNDER_A_FILE_SIZE_LIMIT, str(path)],
+        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 3, child.stderr
+    assert f"cannot write {path}" in child.stdout
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.cycles.json"]
 
 
 def test_record_into_a_missing_directory_is_refused_before_any_query(
@@ -726,6 +791,61 @@ def test_eval_graph_shortcut_pattern(tmp_path, runner):
     assert "transitive_fp_share: 1.000000" in result.output
     payload = json.loads((out / "graph_comparison.json").read_text(encoding="utf-8"))
     assert payload["false_positives"] == [["a", "c"]]
+
+
+def _greek_cycle_document() -> tuple[str, ReplayFixture]:
+    """An abstract whose labels hold Greek letters, scripted into one 3-cycle."""
+    names = ["tnf-α", "il-1β", "nf-κb"]
+    source_text = "Raised " + ", ".join(names) + " levels were seen together."
+    entities = [
+        Entity(id=name, canonical_label=name, first_offset=source_text.index(name))
+        for name in names
+    ]
+    entries = {
+        render_entity_prompt(source_text, "").fingerprint:
+            ReplayEntry("\n".join(f"<Entity>{name}</Entity>" for name in names)),
+    }
+    # tnf-α -> il-1β -> nf-κb -> tnf-α
+    for (i, j), answer in {(0, 1): "A", (1, 2): "A", (0, 2): "B"}.items():
+        question = OrientationQuestion.from_pair(source_text, entities[i], entities[j])
+        entries[render_orientation_prompt(question).fingerprint] = ReplayEntry(
+            f"<Answer>{answer}</Answer>"
+        )
+    return source_text, ReplayFixture(entries=entries)
+
+
+def test_every_json_output_writes_non_ascii_labels_as_themselves(tmp_path, runner):
+    source_text, fixture = _greek_cycle_document()
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    doc = tmp_path / "abstract.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    truth = CausalGraph(
+        GraphKind.GROUND_TRUTH,
+        [Entity(id=name, canonical_label=name) for name in ("tnf-α", "il-1β", "nf-κb")],
+        [Arc("tnf-α", "il-1β")],
+    )
+    truth_path = tmp_path / "truth.graph.json"
+    truth_path.write_text(serialize_graph(truth), encoding="utf-8")
+    out = tmp_path / "out"
+    for args in (
+        ["extract", "--replay", str(fixture_path), "--out", str(out), str(doc)],
+        ["eval-graph", "--out", str(out), str(out / "abstract.graph.json"), str(truth_path)],
+    ):
+        result = runner.invoke(main, args, env=_env(tmp_path), catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    cycles = json.loads((out / "abstract.cycles.json").read_text(encoding="utf-8"))
+    assert cycles["cycles"] == [["il-1β", "nf-κb", "tnf-α"]]
+    outputs = sorted(out.glob("*.json"))
+    assert [p.name for p in outputs] == [
+        "abstract.cycles.json", "abstract.graph.json", "abstract.stats.json",
+        "graph_comparison.json",
+    ]
+    for path in outputs:
+        text = path.read_text(encoding="utf-8")
+        assert "\\u" not in text, path.name
+        for label in ("tnf-α", "il-1β"):
+            assert f'"{label}"' in text, (path.name, label)
 
 
 def test_eval_graph_identical_graphs(tmp_path, runner):

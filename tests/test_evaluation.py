@@ -75,6 +75,20 @@ def test_parse_semeval_tolerates_crlf():
     assert len(parse_semeval(text)) == 5
 
 
+@pytest.mark.parametrize(
+    "character",
+    ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=repr,
+)
+def test_parse_semeval_ends_lines_only_at_cr_and_lf(character):
+    text = f'1\t"The <e1>fume</e1>{character}exposure caused <e2>rash</e2>."\nCause-Effect(e1,e2)\n'
+    for newline in ("\n", "\r\n", "\r"):
+        (record,) = parse_semeval(text.replace("\n", newline))
+        assert record.sentence == f"The fume{character}exposure caused rash."
+        assert (record.e1_span, record.e2_span) == ("fume", "rash")
+        assert parse_semeval(write_semeval([record])) == (record,)
+
+
 # a well-formed record on lines 1-3, ahead of each broken one
 _GOOD_RECORD = '1\t"<e1>a</e1> hits <e2>b</e2>."\nOther\n\n'
 

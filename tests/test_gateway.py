@@ -296,6 +296,22 @@ def test_live_rejects_malformed_response(fake_endpoint):
             gateway.complete(prompt_for("odd"))
 
 
+def test_a_reply_holding_a_lone_surrogate_is_refused_and_kept_nowhere(fake_endpoint, tmp_path):
+    half_pair = "the cause is \ud83d\n<Answer>A</Answer>"  # not encodable as UTF-8
+    prompt = prompt_for("a question answered with half a surrogate pair")
+    config = _live_config(fake_endpoint, cache_dir=tmp_path / "cache")
+    replayed = ReplayFixture(entries={prompt.fingerprint: ReplayEntry(half_pair)})
+    for transport in (LiveTransport(config), ReplayTransport(replayed)):
+        fake_endpoint.script.append((200, {"choices": [{"message": {"content": half_pair}}]}))
+        record = ReplayFixture()
+        gateway = Gateway(config, transport, record)
+        with pytest.raises(MalformedProviderResponseError, match="lone surrogate"):
+            gateway.cached_complete(prompt)
+        assert record.entries == {}
+        assert not (tmp_path / "cache").exists()
+    assert len(fake_endpoint.requests) == 1  # refused, not retried
+
+
 def test_live_other_client_errors_fail_fast(fake_endpoint):
     fake_endpoint.script.append((400, {}))
     config = _live_config(fake_endpoint)
@@ -663,7 +679,7 @@ def test_failed_cache_write_is_logged_and_the_exchange_still_served(tmp_path, ca
     transport = CountingTransport(ScriptedTransport(["the reply", "the reply"]))
     gateway = Gateway(config, transport, record)
     path = _cache_path(config.cache_dir, _cache_key(config, prompt))
-    Path(path).with_suffix(".tmp").mkdir(parents=True)  # the scratch file cannot be opened
+    Path(f"{path}.tmp").mkdir(parents=True)  # the scratch file cannot be opened
     with caplog.at_level("WARNING"):
         exchange = gateway.cached_complete(prompt)
     assert (exchange.source, exchange.reply_text) == (ExchangeSource.LIVE, "the reply")
@@ -673,6 +689,17 @@ def test_failed_cache_write_is_logged_and_the_exchange_still_served(tmp_path, ca
     # nothing was cached, so the next ask pays again
     assert gateway.cached_complete(prompt).source is ExchangeSource.LIVE
     assert transport.calls == 2
+
+
+def test_a_cache_write_that_fails_after_opening_its_scratch_file_leaves_none(tmp_path, caplog):
+    gateway, transport = _cached_gateway(tmp_path, ["one"])
+    prompt = prompt_for("a question whose entry path is a directory")
+    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
+    path.mkdir(parents=True)  # the scratch file is written, but cannot be renamed over it
+    with caplog.at_level("WARNING"):
+        assert gateway.cached_complete(prompt).reply_text == "one"
+    assert any("not written" in r.message for r in caplog.records)
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
 
 
 class _SlowTransport:

@@ -10,6 +10,7 @@ import pytest
 from causaltext.errors import (
     AuthError,
     FixtureMissError,
+    MalformedProviderResponseError,
     NoEntitiesFoundError,
     OppositeArcConflictError,
     PipelineStageError,
@@ -34,11 +35,11 @@ from causaltext.graph import (
 )
 from causaltext.pipeline import (
     PipelineConfig,
+    _query_with_exchanges,
     build_graph,
     enumerate_pairs,
     extract_entities,
     fan_out,
-    query_orientation,
     run_pipeline,
     run_report,
 )
@@ -196,7 +197,7 @@ def test_enumerate_pairs_needs_two():
         enumerate_pairs([entity("only", 0)], "only")
 
 
-# --- query_orientation -------------------------------------------------------------
+# --- _query_with_exchanges ---------------------------------------------------------
 
 
 def _pair_fixture(text, a, b, reply, latency=0.0):
@@ -211,11 +212,11 @@ def test_query_orientation_forward_and_no_relation(gateway_factory):
     sens = entity("sensitization", text.index("sensitization"))
     question, entries = _pair_fixture(text, fume, sens, "reasoning\n<Answer>A</Answer>")
     gateway, _ = gateway_factory(ReplayFixture(entries=entries))
-    assert query_orientation(question, gateway) is Verdict.FORWARD
+    assert _query_with_exchanges(question, gateway)[0] is Verdict.FORWARD
 
     question2, entries2 = _pair_fixture(text, fume, sens, "<Answer>C</Answer>")
     gateway2, _ = gateway_factory(ReplayFixture(entries=entries2))
-    assert query_orientation(question2, gateway2) is Verdict.NO_RELATION
+    assert _query_with_exchanges(question2, gateway2)[0] is Verdict.NO_RELATION
 
 
 def test_query_orientation_reasks_once_then_succeeds(gateway_factory):
@@ -232,7 +233,7 @@ def test_query_orientation_reasks_once_then_succeeds(gateway_factory):
         }
     )
     gateway, counter = gateway_factory(fixture, counting=True)
-    assert query_orientation(question, gateway) is Verdict.BACKWARD
+    assert _query_with_exchanges(question, gateway)[0] is Verdict.BACKWARD
     assert counter.calls == 2
 
 
@@ -250,7 +251,7 @@ def test_query_orientation_tolerates_double_unparsable(gateway_factory):
         }
     )
     gateway, _ = gateway_factory(fixture)
-    assert query_orientation(question, gateway) is Verdict.UNPARSABLE
+    assert _query_with_exchanges(question, gateway)[0] is Verdict.UNPARSABLE
 
 
 # --- build_graph ----------------------------------------------------------------------
@@ -441,6 +442,20 @@ def test_run_pipeline_reports_completed_stage_on_failure(gateway_factory):
         run_pipeline(source_text, "", PipelineConfig(), gateway)
     assert excinfo.value.completed_stage == "enumerate_pairs"
     assert len(excinfo.value.partial["entities"]) == 4
+
+
+def test_a_lone_surrogate_reply_fails_the_run_with_the_verdicts_paid_before_it(gateway_factory):
+    source_text, fixture = pipeline_document(4)
+    entities = extract_entities(source_text, "", gateway_factory(fixture)[0])
+    questions = enumerate_pairs(entities, source_text)
+    poisoned = render_orientation_prompt(questions[3]).fingerprint
+    fixture.entries[poisoned] = ReplayEntry("the cause is \ud83d\n<Answer>A</Answer>")
+    gateway, _ = gateway_factory(fixture)
+    with pytest.raises(PipelineStageError) as excinfo:
+        run_pipeline(source_text, "", PipelineConfig(), gateway)
+    assert isinstance(excinfo.value.__cause__, MalformedProviderResponseError)
+    assert excinfo.value.completed_stage == "enumerate_pairs"
+    assert set(excinfo.value.partial["verdicts"]) == {q.pair_key for q in questions[:3]}
 
 
 def test_run_pipeline_failure_before_any_stage(gateway_factory):
