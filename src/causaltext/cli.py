@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import click
 
@@ -30,12 +30,20 @@ from .gateway import (
     ProviderConfig,
     ReplayFixture,
     ReplayTransport,
+    _json_chunks,
     _write_atomically,
     cache_stats,
     clear_cache,
     run_lock,
 )
-from .graph import GraphFormat, GraphKind, compare_graphs, parse_graph, serialize_graph
+from .graph import (
+    GraphFormat,
+    GraphKind,
+    _encodable,
+    compare_graphs,
+    parse_graph,
+    serialize_graph,
+)
 from .pipeline import PipelineConfig, run_pipeline, run_report
 
 ENV_PREFIX = "CAUSALTEXT"
@@ -69,6 +77,8 @@ _KEYS = {
     "domain_hint": (str, Settings, "domain_hint"),
     "out": (str, Settings, "out_dir"),
 }
+# text settings hashed into prompts and cache keys or sent to the provider
+_SENT_TEXT = ("model", "endpoint", "domain_hint")
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 _ENV_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
@@ -142,8 +152,11 @@ def _resolve_settings(config_path=None, replay=None, record=None, **flags) -> Se
     try:
         for name, (_, owner, field_name) in _KEYS.items():
             value = _setting(name, flags.get(name), file_config)
-            if value is not None:
-                fields[owner][field_name] = value
+            if value is None:
+                continue
+            if name in _SENT_TEXT and not _encodable(value):
+                raise ConfigurationError(f"setting {name!r} is not valid UTF-8 text: {value!r}")
+            fields[owner][field_name] = value
         provider = ProviderConfig(**fields[ProviderConfig])
         pipeline = PipelineConfig(**fields[PipelineConfig])
     except ValueError as exc:
@@ -217,16 +230,17 @@ def _read_input(path: str) -> str:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or the text chunks of an iterable, atomically to ``path``."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomically(path, text)
+        _write_atomically(path, (text,) if isinstance(text, str) else text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from None
 
 
 def _write_json(path: Path, payload: object) -> None:
-    _write(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    _write(path, _json_chunks(payload))
 
 
 def _fail(message: str, code: int = 1) -> None:

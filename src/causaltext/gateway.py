@@ -25,7 +25,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 from urllib.parse import urlsplit
 
 import requests
@@ -39,6 +39,7 @@ from .errors import (
     ProviderUnavailableError,
     RunLockHeldError,
 )
+from .graph import _encodable
 from .prompts import RenderedPrompt
 
 log = logging.getLogger(__name__)
@@ -108,21 +109,31 @@ def _checked_latency(value: object) -> float:
     return float(value)
 
 
-def _write_atomically(path: Path | str, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``<path>.tmp``, then rename it over ``path``.
+def _write_atomically(path: Path | str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` as UTF-8 to ``<path>.tmp``, then rename it over ``path``.
 
-    A failed or killed write leaves the old file as it was. On an
-    :class:`OSError` the scratch file is removed and the error re-raised.
+    Chunks are written as they come, so a caller can stream a file it never
+    holds whole. A failed or killed write leaves the old file as it was. On
+    any exception the scratch file is removed and the exception re-raised.
     """
     scratch = f"{os.fspath(path)}.tmp"
     try:
         with open(scratch, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(scratch, path)
-    except OSError:
+    except BaseException:
         with suppress(OSError):
             os.unlink(scratch)
         raise
+
+
+def _json_chunks(payload: object) -> Iterator[str]:
+    """``payload`` as indented JSON text plus a newline, in pieces.
+
+    The pieces join to ``json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"``.
+    """
+    yield from json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(payload)
+    yield "\n"
 
 
 @dataclass(frozen=True)
@@ -166,7 +177,7 @@ class ReplayFixture:
             },
         }
         try:
-            _write_atomically(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+            _write_atomically(path, _json_chunks(payload))
         except OSError as exc:
             raise GatewayError(f"cannot save replay fixture {path}: {exc}") from None
 
@@ -360,14 +371,6 @@ def _read_file(path: str) -> bytes:
     return b"".join(chunks)
 
 
-def _encodable(text: str) -> bool:
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def _checksum(reply_text: str) -> str:
     return hashlib.sha256(reply_text.encode("utf-8")).hexdigest()
 
@@ -525,7 +528,7 @@ class Gateway:
         }
         try:
             os.makedirs(self._cache_dir, exist_ok=True)
-            _write_atomically(path, json.dumps(record, indent=2, ensure_ascii=False))
+            _write_atomically(path, (json.dumps(record, indent=2, ensure_ascii=False),))
         except OSError as exc:
             log.warning("cache entry %s not written (%s); a later run asks again", path, exc)
 

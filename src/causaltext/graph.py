@@ -39,6 +39,15 @@ def normalize_label(text: str) -> str:
     return _WS.sub(" ", text.strip()).lower()
 
 
+def _encodable(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8: it holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class GraphKind(Enum):
     EXTRACTED = "extracted"
     GROUND_TRUTH = "ground_truth"
@@ -269,21 +278,23 @@ def enforce_acyclicity(
     Returns a new acyclic graph and the removed arcs of ``graph`` in removal
     order.
     """
-    suspects = {arc.pair for arc in transitive}
-    cycles = [set(pairwise(cycle, cyclic=True)) for cycle in report.cycles]
-    removed: list[Arc] = []
+    # arcs sorted by (cause, effect), so an arc's index orders as its pair does
+    arcs = graph.arcs
+    index = {arc.pair: i for i, arc in enumerate(arcs)}
+    suspects = {index[arc.pair] for arc in transitive}
+    cycles = [frozenset(index[pair] for pair in pairwise(cycle, cyclic=True))
+              for cycle in report.cycles]
+    removed: list[int] = []
     while cycles:
         coverage = Counter(chain.from_iterable(cycles))
-        victim_pair = min(
-            coverage, key=lambda pair: (-coverage[pair], pair not in suspects, pair)
-        )
-        removed.append(graph.arc(*victim_pair))
-        cycles = [cycle for cycle in cycles if victim_pair not in cycle]
-    victims = {arc.pair for arc in removed}
+        victim = min(coverage, key=lambda i: (-coverage[i], i not in suspects, i))
+        removed.append(victim)
+        cycles = [cycle for cycle in cycles if victim not in cycle]
+    victims = set(removed)
     result = CausalGraph(
-        graph.kind, graph.entities, [arc for arc in graph.arcs if arc.pair not in victims]
+        graph.kind, graph.entities, [arc for i, arc in enumerate(arcs) if i not in victims]
     )
-    return result, tuple(removed)
+    return result, tuple(arcs[i] for i in removed)
 
 
 @dataclass(frozen=True)
@@ -429,6 +440,8 @@ def _field(record: object, key: str, kind: type, default: object = _REQUIRED):
     value = record[key]
     if not isinstance(value, kind):
         raise GraphFileError(f"{key!r} must be a {kind.__name__}, not {type(value).__name__}")
+    if isinstance(value, str) and not _encodable(value):
+        raise GraphFileError(f"{key!r} is not valid UTF-8 text: {value!r}")
     return value
 
 
@@ -436,6 +449,8 @@ def _parse_entity_record(record: object) -> Entity:
     forms = _field(record, "surface_forms", list, [])
     if not all(isinstance(form, str) for form in forms):
         raise GraphFileError(f"'surface_forms' must hold strings, not {forms!r}")
+    if not all(map(_encodable, forms)):
+        raise GraphFileError(f"'surface_forms' must hold valid UTF-8 text, not {forms!r}")
     return Entity(
         id=_field(record, "id", str),
         canonical_label=_field(record, "canonical_label", str),

@@ -229,7 +229,11 @@ class RunStats:
 
 @dataclass
 class PipelineRun:
-    """Everything one document produced: entities, verdicts, the written graph, analyses."""
+    """Everything one document produced: entities, verdicts, the written graph, analyses.
+
+    ``cycle_report`` and ``transitive_arcs`` describe the extracted graph,
+    before any arc was removed; the arc flags of ``graph`` describe ``graph``.
+    """
 
     entities: tuple[Entity, ...]
     verdicts: dict[PairKey, Verdict]
@@ -243,13 +247,14 @@ class PipelineRun:
 def _stats_from(
     questions: tuple[OrientationQuestion, ...],
     verdicts: dict[PairKey, Verdict],
-    exchange_lists: list[tuple[ChatExchange, ...]],
+    latency_lists: list[tuple[float, ...]],
 ) -> RunStats:
-    latencies = [ex.latency for exchanges in exchange_lists for ex in exchanges]
+    """``latency_lists`` holds each question's exchange latencies, a re-ask's included."""
+    latencies = [latency for pair_latencies in latency_lists for latency in pair_latencies]
     finals = [verdicts[q.pair_key] for q in questions]
     return RunStats(
         query_count=len(questions),
-        reask_count=sum(1 for exchanges in exchange_lists if len(exchanges) > 1),
+        reask_count=sum(1 for pair_latencies in latency_lists if len(pair_latencies) > 1),
         abstention_count=sum(1 for v in finals if v is Verdict.NO_RELATION),
         unparsable_count=sum(1 for v in finals if v is Verdict.UNPARSABLE),
         mean_latency=statistics.fmean(latencies) if latencies else 0.0,
@@ -290,12 +295,13 @@ def run_pipeline(
         answered: dict[PairKey, Verdict] = {}
         partial["verdicts"] = answered
 
-        def ask(question: OrientationQuestion) -> tuple[ChatExchange, ...]:
+        # only latencies outlive a query: its prompts hold the whole text
+        def ask(question: OrientationQuestion) -> tuple[float, ...]:
             verdict, exchanges = _query_with_exchanges(question, gateway)
             answered[question.pair_key] = verdict
-            return exchanges
+            return tuple(exchange.latency for exchange in exchanges)
 
-        exchange_lists = list(fan_out(ask, questions, gateway.config.parallelism))
+        latency_lists = list(fan_out(ask, questions, gateway.config.parallelism))
         verdicts = {q.pair_key: answered[q.pair_key] for q in questions}
         completed = "query_orientation"
 
@@ -308,10 +314,12 @@ def run_pipeline(
         removed: tuple[Arc, ...] = ()
         if config.enforce_acyclic:
             graph, removed = enforce_acyclicity(graph, cycle_report, transitive)
+        # flags describe the written graph: once arcs are removed it has no cycle and
+        # its own transitive candidates
         graph = graph.with_flags({
-            # the extracted graph's candidates, also after enforcement removed arcs
-            ArcFlag.SUSPECTED_TRANSITIVE: {arc.pair for arc in transitive},
-            # the report lists the written graph's cycles unless arcs were removed
+            ArcFlag.SUSPECTED_TRANSITIVE: {
+                arc.pair for arc in (flag_transitive_candidates(graph) if removed else transitive)
+            },
             ArcFlag.ON_DIRECTED_CYCLE: () if removed else cycle_report.on_cycle_pairs,
         })
     except CausalTextError as exc:
@@ -326,7 +334,7 @@ def run_pipeline(
         cycle_report=cycle_report,
         transitive_arcs=transitive,
         removed_arcs=removed,
-        stats=_stats_from(questions, verdicts, exchange_lists),
+        stats=_stats_from(questions, verdicts, latency_lists),
     )
 
 
@@ -334,7 +342,8 @@ def run_report(run: PipelineRun) -> dict:
     """Deterministic JSON-able report for one run.
 
     Contains nothing that varies with parallelism, cache state or wall-clock
-    time, so replayed runs serialize byte-identically.
+    time, so replayed runs serialize byte-identically. Cycles are only
+    counted here; ``cycle_report.to_dict()`` lists them.
     """
     return {
         "entities": [
@@ -345,7 +354,10 @@ def run_report(run: PipelineRun) -> dict:
             {"a": a, "b": b, "verdict": run.verdicts[(a, b)].value}
             for a, b in sorted(run.verdicts)
         ],
-        "cycles": run.cycle_report.to_dict(),
+        "cycles": {
+            "is_acyclic": run.cycle_report.is_acyclic,
+            "count": len(run.cycle_report.cycles),
+        },
         "transitive_arcs": [[arc.cause, arc.effect] for arc in run.transitive_arcs],
         "removed_arcs": [[arc.cause, arc.effect] for arc in run.removed_arcs],
         "stats": dataclasses.asdict(run.stats),

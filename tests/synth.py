@@ -100,15 +100,19 @@ def pipeline_document(
     domain_hint: str = "",
     latency: float = 0.0,
     modulus: int = 3,
+    min_chars: int = 0,
 ) -> tuple[str, ReplayFixture]:
     """A synthetic abstract naming ``entity_count`` entities plus its fixture.
 
     The fixture answers the entity prompt with one span per entity and every
     pair question according to :func:`pair_rule`, so the expected graph can
-    be re-derived independently in tests.
+    be re-derived independently in tests. Filler sentences that name no
+    entity pad the text to at least ``min_chars`` characters.
     """
     names = [f"factor{i:02d}" for i in range(entity_count)]
     source_text = "The study followed " + ", ".join(names) + " across the cohort."
+    filler = " Samples were taken again at every site."
+    source_text += filler * -(-max(0, min_chars - len(source_text)) // len(filler))
     entries: dict[str, ReplayEntry] = {}
 
     entity_reply = "\n".join(f"<Entity>{name}</Entity>" for name in names)

@@ -914,6 +914,24 @@ def test_eval_graph_malformed_graph_file_exits_one(tmp_path, runner):
     assert "error:" in result.output
 
 
+def test_eval_graph_refuses_a_label_that_is_not_utf8_text(tmp_path, runner):
+    bad = tmp_path / "bad.json"
+    # the JSON escape of a lone surrogate: valid JSON, but no UTF-8 text
+    entities = [{"id": "a", "canonical_label": "a\ud800"}, {"id": "b", "canonical_label": "b"}]
+    bad.write_text(
+        json.dumps({"entities": entities, "arcs": [{"cause": "a", "effect": "b"}]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["eval-graph", "--out", str(out), str(bad), str(bad)],
+        env=_env(tmp_path), catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: 'canonical_label' is not valid UTF-8 text" in result.output
+    assert not out.exists()
+
+
 # --- cache -------------------------------------------------------------------------
 
 
@@ -1319,6 +1337,38 @@ def test_config_file_that_cannot_be_used_exits_one(tmp_path, runner, content, me
     )
     assert result.exit_code == 1, result.output
     assert "error: " + message.format(path=config_path) in result.output
+
+
+@pytest.mark.parametrize(
+    "key, args, config, env",
+    [
+        ("model", [], {"model": "gpt\ud800"}, {}),
+        # undecodable bytes reach Python as surrogate escapes, as os.fsdecode gives them
+        ("model", [], {}, {"CAUSALTEXT_MODEL": os.fsdecode(b"gpt\xff")}),
+        ("domain_hint", ["--domain-hint", os.fsdecode(b"\xed\xa0\x80")], {}, {}),
+        ("endpoint", [], {"endpoint": "http://127.0.0.1/\ud800"}, {}),
+    ],
+    ids=["config model", "environment model", "domain hint flag", "config endpoint"],
+)
+def test_extract_refuses_sent_text_that_is_not_utf8(tmp_path, runner, key, args, config, env):
+    source_text, fixture = pipeline_document(4)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["extract", "--replay", str(fixture_path), "--config", str(config_path), *args,
+         "--out", str(tmp_path / "out"), str(doc)],
+        env=_env(tmp_path, **env),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert f"error: setting {key!r} is not valid UTF-8 text" in result.output
+    assert not (tmp_path / "cache").exists()  # refused before the run lock
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

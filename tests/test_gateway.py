@@ -135,6 +135,29 @@ def test_a_failed_fixture_save_leaves_the_old_file_as_it_was(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fixture.json"]
 
 
+def test_an_atomic_write_that_raises_part_way_leaves_the_old_file_as_it_was(tmp_path):
+    path = tmp_path / "out.json"
+    gateway_module._write_atomically(path, ("old",))
+    # the second chunk holds a lone surrogate, which UTF-8 cannot encode
+    with pytest.raises(UnicodeEncodeError):
+        gateway_module._write_atomically(path, ("new ", "\ud800", " text"))
+
+    def failing_chunks():
+        yield "new"
+        raise KeyError("payload")
+
+    with pytest.raises(KeyError):
+        gateway_module._write_atomically(path, failing_chunks())
+    assert path.read_text(encoding="utf-8") == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_json_chunks_join_to_the_indented_encoding():
+    payload = {"b": [1, 2.5, None, True], "a": {"é": "tnf-α", "nested": [[], {}]}, "c": ""}
+    joined = "".join(gateway_module._json_chunks(payload))
+    assert joined == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
 def test_fixture_add_empty_and_conflicting():
     assert ReplayFixture().entries == {}
     fixture = ReplayFixture()

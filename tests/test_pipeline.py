@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -31,6 +33,7 @@ from causaltext.graph import (
     CausalGraph,
     Entity,
     GraphFormat,
+    flag_transitive_candidates,
     serialize_graph,
 )
 from causaltext.pipeline import (
@@ -624,12 +627,65 @@ def test_run_pipeline_flags_only_the_graph_it_writes(gateway_factory):
     for enforce in (False, True):
         gateway, _ = gateway_factory(fixture)
         run = run_pipeline(source_text, "", PipelineConfig(enforce_acyclic=enforce), gateway)
-        transitive = {arc.pair for arc in run.transitive_arcs}
+        # the flags describe the written graph, the analyses the extracted one
+        transitive = {arc.pair for arc in flag_transitive_candidates(run.graph)}
         on_cycle = set() if enforce else run.cycle_report.on_cycle_pairs
         assert len(on_cycle) == (0 if enforce else 19)
+        assert len(transitive) == (8 if enforce else 19)
+        assert len(run.transitive_arcs) == 19
         for arc in run.graph.arcs:
             assert (ArcFlag.SUSPECTED_TRANSITIVE in arc.flags) == (arc.pair in transitive)
             assert (ArcFlag.ON_DIRECTED_CYCLE in arc.flags) == (arc.pair in on_cycle)
         # the analyses describe the extracted graph, whose arcs carry no flags
         assert not any(arc.flags for arc in run.transitive_arcs + run.removed_arcs)
         assert len(run.removed_arcs) == (4 if enforce else 0)
+
+
+def test_written_transitive_flags_match_the_witness_oracle_on_random_scripts(
+    gateway_factory, monkeypatch
+):
+    from causaltext import pipeline
+    from oracles import brute_force_has_witness_path
+
+    rng = random.Random(2110)
+    text = " ".join(f"factor{i}" for i in range(8))
+    entities = tuple(entity(f"factor{i}", text.index(f"factor{i}")) for i in range(8))
+    script: dict = {}
+    # scripted verdicts for scripted entities, with no prompt rendered or sent
+    monkeypatch.setattr(pipeline, "extract_entities", lambda *args, **kwargs: script["entities"])
+    monkeypatch.setattr(pipeline, "_query_with_exchanges",
+                        lambda question, gateway: (script[question.pair_key], ()))
+    gateway, _ = gateway_factory(ReplayFixture())
+    verdicts = (Verdict.FORWARD, Verdict.BACKWARD, Verdict.NO_RELATION)
+    enforced_with_removals = 0
+    for _ in range(500):
+        script["entities"] = entities[:rng.randint(3, 8)]
+        for a, b in itertools.combinations(script["entities"], 2):
+            script[(a.id, b.id)] = rng.choice(verdicts)
+        for enforce in (False, True):
+            run = run_pipeline(text, "", PipelineConfig(enforce_acyclic=enforce), gateway)
+            enforced_with_removals += bool(run.removed_arcs)
+            nodes = [e.id for e in run.graph.entities]
+            pairs = {arc.pair for arc in run.graph.arcs}
+            for arc in run.graph.arcs:
+                assert (ArcFlag.SUSPECTED_TRANSITIVE in arc.flags) == (
+                    brute_force_has_witness_path(nodes, pairs, arc.pair)
+                ), (enforce, arc.pair, sorted(pairs))
+    assert enforced_with_removals >= 250
+
+
+def test_warm_run_memory_does_not_grow_with_pairs_times_text(tmp_path):
+    """No prompt outlives its query: a 50 KB text at n=20 asks 190 of them."""
+    source_text, fixture = pipeline_document(20, modulus=7, min_chars=50_000)
+    config = ProviderConfig(cache_dir=tmp_path / "cache", requests_per_minute=1e9)
+    run_pipeline(source_text, "", PipelineConfig(), Gateway(config, ReplayTransport(fixture)))
+    gateway = Gateway(config, CountingTransport(ReplayTransport(fixture)))
+    tracemalloc.start()
+    try:
+        run = run_pipeline(source_text, "", PipelineConfig(), gateway)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gateway._transport.calls == 0
+    assert run.stats.query_count == 190
+    assert peak < 2_000_000, peak
