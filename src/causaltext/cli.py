@@ -30,7 +30,6 @@ from .gateway import (
     ProviderConfig,
     ReplayFixture,
     ReplayTransport,
-    _json_chunks,
     _write_atomically,
     cache_stats,
     clear_cache,
@@ -44,6 +43,7 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
+from .jsontext import _json_chunks
 from .pipeline import PipelineConfig, run_pipeline, run_report
 
 ENV_PREFIX = "CAUSALTEXT"
@@ -79,6 +79,8 @@ _KEYS = {
 }
 # text settings hashed into prompts and cache keys or sent to the provider
 _SENT_TEXT = ("model", "endpoint", "domain_hint")
+# text settings handed to the operating system: an environment-variable name and paths
+_OS_TEXT = ("api_key_env", "cache_dir", "out")
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 _ENV_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
@@ -156,6 +158,13 @@ def _resolve_settings(config_path=None, replay=None, record=None, **flags) -> Se
                 continue
             if name in _SENT_TEXT and not _encodable(value):
                 raise ConfigurationError(f"setting {name!r} is not valid UTF-8 text: {value!r}")
+            if name in _OS_TEXT:
+                try:
+                    os.fsencode(value)  # surrogate escapes of undecodable bytes pass
+                except UnicodeEncodeError:
+                    raise ConfigurationError(
+                        f"setting {name!r} cannot be encoded for the operating system: {value!r}"
+                    ) from None
             fields[owner][field_name] = value
         provider = ProviderConfig(**fields[ProviderConfig])
         pipeline = PipelineConfig(**fields[PipelineConfig])

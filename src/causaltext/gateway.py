@@ -40,6 +40,7 @@ from .errors import (
     RunLockHeldError,
 )
 from .graph import _encodable
+from .jsontext import _json_chunks
 from .prompts import RenderedPrompt
 
 log = logging.getLogger(__name__)
@@ -125,15 +126,6 @@ def _write_atomically(path: Path | str, chunks: Iterable[str]) -> None:
         with suppress(OSError):
             os.unlink(scratch)
         raise
-
-
-def _json_chunks(payload: object) -> Iterator[str]:
-    """``payload`` as indented JSON text plus a newline, in pieces.
-
-    The pieces join to ``json.dumps(payload, indent=2, ensure_ascii=False) + "\\n"``.
-    """
-    yield from json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(payload)
-    yield "\n"
 
 
 @dataclass(frozen=True)
@@ -528,7 +520,7 @@ class Gateway:
         }
         try:
             os.makedirs(self._cache_dir, exist_ok=True)
-            _write_atomically(path, (json.dumps(record, indent=2, ensure_ascii=False),))
+            _write_atomically(path, _json_chunks(record, end=""))
         except OSError as exc:
             log.warning("cache entry %s not written (%s); a later run asks again", path, exc)
 

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import Collection, Iterable, Sequence
-
-import networkx as nx
-from networkx.utils import pairwise
+from typing import Collection, Iterable, Iterator
 
 from .errors import (
     CycleBudgetExceededError,
@@ -28,6 +25,7 @@ from .errors import (
     SelfLoopError,
     UnknownEntityError,
 )
+from .jsontext import _json_chunks
 
 DEFAULT_CYCLE_CAP = 10_000
 
@@ -207,22 +205,86 @@ class CycleReport:
     @property
     def on_cycle_pairs(self) -> frozenset[tuple[str, str]]:
         """The (cause, effect) pair of every arc on at least one listed cycle."""
-        return frozenset(pair for cycle in self.cycles for pair in pairwise(cycle, cyclic=True))
+        return frozenset(pair for cycle in self.cycles for pair in _cycle_arcs(cycle))
 
     def to_dict(self) -> dict:
         return {"is_acyclic": self.is_acyclic, "cycles": [list(c) for c in self.cycles]}
 
 
-def _canonical_rotation(cycle: Sequence[str]) -> tuple[str, ...]:
-    pivot = cycle.index(min(cycle))
-    return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
+def _cycle_arcs(cycle: tuple[str, ...]) -> Iterator[tuple[str, str]]:
+    """The (cause, effect) pairs of ``cycle``, the closing arc last."""
+    return zip(cycle, cycle[1:] + cycle[:1])
 
 
-def _digraph(graph: CausalGraph) -> nx.DiGraph:
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(entity.id for entity in graph.entities)
-    digraph.add_edges_from(arc.pair for arc in graph.arcs)
-    return digraph
+def _successors(graph: CausalGraph) -> dict[str, list[str]]:
+    """Every entity id mapped to the effects of its arcs."""
+    successors: dict[str, list[str]] = {node: [] for node in graph._entities}
+    for cause, effect in graph._arcs:
+        successors[cause].append(effect)
+    return successors
+
+
+def _reach(start: str, links: dict[str, list[str]], allowed: set[str]) -> set[str]:
+    """The nodes of ``allowed`` that ``links`` leads to from ``start``, and ``start``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for node in links[stack.pop()]:
+            if node not in seen and node in allowed:
+                seen.add(node)
+                stack.append(node)
+    return seen
+
+
+def _simple_cycles(successors: dict[str, list[str]]) -> Iterator[tuple[str, ...]]:
+    """Every simple directed cycle of ``successors``, by Johnson's (1975) search.
+
+    The search is rooted at each node in sorted order and kept to the strong
+    component of the root among the nodes not yet rooted, so each cycle is
+    found once, starting at its smallest node.
+    """
+    predecessors: dict[str, list[str]] = {node: [] for node in successors}
+    for cause, effects in successors.items():
+        for effect in effects:
+            predecessors[effect].append(cause)
+    remaining = set(successors)
+    for start in sorted(successors):
+        component = _reach(start, successors, remaining) & _reach(start, predecessors, remaining)
+        remaining.discard(start)
+        if len(component) < 2:
+            continue
+        links = {node: [n for n in successors[node] if n in component] for node in component}
+        blocked = {start}
+        blocked_by: defaultdict[str, set[str]] = defaultdict(set)
+        path = [start]
+        pending = [iter(links[start])]  # each path node's successors not yet tried
+        closed = [False]  # whether a cycle closed below each path node (Johnson's f)
+        while pending:
+            for node in pending[-1]:
+                if node == start:
+                    yield tuple(path)
+                    closed[-1] = True
+                elif node not in blocked:
+                    blocked.add(node)
+                    path.append(node)
+                    pending.append(iter(links[node]))
+                    closed.append(False)
+                    break
+            else:
+                pending.pop()
+                node = path.pop()
+                if closed.pop():
+                    unblock = [node]
+                    while unblock:
+                        freed = unblock.pop()
+                        if freed in blocked:
+                            blocked.discard(freed)
+                            unblock.extend(blocked_by.pop(freed, ()))
+                    if closed:
+                        closed[-1] = True
+                else:
+                    for successor in links[node]:
+                        blocked_by[successor].add(node)
 
 
 def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> CycleReport:
@@ -235,8 +297,8 @@ def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Cyc
     signals pathological input rather than a normal extraction.
     """
     cycles: list[tuple[str, ...]] = []
-    for cycle in nx.simple_cycles(_digraph(graph)):
-        cycles.append(_canonical_rotation(cycle))
+    for cycle in _simple_cycles(_successors(graph)):
+        cycles.append(cycle)
         if len(cycles) > cycle_cap:
             raise CycleBudgetExceededError(
                 f"more than {cycle_cap} simple cycles; raise the cap explicitly "
@@ -244,6 +306,20 @@ def detect_cycles(graph: CausalGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Cyc
             )
     cycles.sort()
     return CycleReport(tuple(cycles))
+
+
+def _has_detour(successors: dict[str, list[str]], cause: str, effect: str) -> bool:
+    """Whether a directed path ``cause`` to ``effect`` exists that avoids their arc."""
+    stack = [node for node in successors[cause] if node != effect]
+    seen = {cause, *stack}
+    while stack:
+        for node in successors[stack.pop()]:
+            if node == effect:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return False
 
 
 def flag_transitive_candidates(graph: CausalGraph) -> tuple[Arc, ...]:
@@ -255,14 +331,8 @@ def flag_transitive_candidates(graph: CausalGraph) -> tuple[Arc, ...]:
     ``SUSPECTED_TRANSITIVE`` or drop them, because a shadowed arc may still be
     a genuine direct effect.
     """
-    digraph = _digraph(graph)
-    shadowed: list[Arc] = []
-    for arc in graph.arcs:
-        digraph.remove_edge(*arc.pair)
-        if nx.has_path(digraph, *arc.pair):
-            shadowed.append(arc)
-        digraph.add_edge(*arc.pair)
-    return tuple(shadowed)
+    successors = _successors(graph)
+    return tuple(arc for arc in graph.arcs if _has_detour(successors, *arc.pair))
 
 
 def enforce_acyclicity(
@@ -282,7 +352,7 @@ def enforce_acyclicity(
     arcs = graph.arcs
     index = {arc.pair: i for i, arc in enumerate(arcs)}
     suspects = {index[arc.pair] for arc in transitive}
-    cycles = [frozenset(index[pair] for pair in pairwise(cycle, cyclic=True))
+    cycles = [frozenset(index[pair] for pair in _cycle_arcs(cycle))
               for cycle in report.cycles]
     removed: list[int] = []
     while cycles:
@@ -423,7 +493,7 @@ def serialize_graph(graph: CausalGraph, format: GraphFormat = GraphFormat.STRUCT
         "entities": [_entity_record(entity) for entity in graph.entities],
         "arcs": [_arc_record(arc) for arc in graph.arcs],
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return "".join(_json_chunks(payload))
 
 
 _REQUIRED = object()

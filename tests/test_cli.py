@@ -1371,6 +1371,54 @@ def test_extract_refuses_sent_text_that_is_not_utf8(tmp_path, runner, key, args,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, args, config",
+    [
+        ("api_key_env", [], {"api_key_env": "KEY\ud800"}),
+        ("cache_dir", [], {"cache_dir": "c\ud800"}),
+        ("out", ["--out", "out\ud800"], {}),
+    ],
+    ids=["config api_key_env", "config cache_dir", "out flag"],
+)
+def test_extract_refuses_os_bound_settings_the_os_cannot_encode(
+    tmp_path, runner, monkeypatch, key, args, config
+):
+    monkeypatch.chdir(tmp_path)
+    source_text, fixture = pipeline_document(4)
+    fixture.save(tmp_path / "fixture.json")
+    (tmp_path / "doc.txt").write_text(source_text, encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["extract", "--replay", "fixture.json", "--config", "config.json", *args, "doc.txt"],
+        env={"CAUSALTEXT_CACHE_DIR": None, "CAUSALTEXT_OUT": None},
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert f"error: setting {key!r} cannot be encoded for the operating system" in result.output
+    # refused before the run lock and before any output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "doc.txt", "fixture.json"]
+
+
+def test_extract_accepts_paths_holding_surrogate_escaped_bytes(tmp_path, runner):
+    source_text, fixture = pipeline_document(4)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    # undecodable bytes reach Python as surrogate escapes, and name real files
+    cache, out = (tmp_path / os.fsdecode(name) for name in (b"cache\xff", b"out\xff"))
+    result = runner.invoke(
+        main,
+        ["extract", "--replay", str(fixture_path), "--out", str(out), str(doc)],
+        env={"CAUSALTEXT_CACHE_DIR": str(cache)},
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0, result.output
+    assert (out / "doc.graph.json").is_file()
+    assert os.listdir(os.fsencode(cache))
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_requests_per_minute_exits_one(tmp_path, runner, value):
     config_path = tmp_path / "config.json"

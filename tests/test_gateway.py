@@ -158,6 +158,17 @@ def test_json_chunks_join_to_the_indented_encoding():
     assert joined == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+def test_a_cache_entry_is_the_indented_encoding_of_its_record_without_a_newline(tmp_path):
+    reply = 'a "quoted" reply\\ with é, α, a tab\t and\nlines'
+    gateway, _ = _cached_gateway(tmp_path, [reply])
+    prompt = prompt_for("q")
+    gateway.cached_complete(prompt)
+    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
+    record = json.loads(path.read_bytes())
+    assert record["reply_text"] == reply
+    assert path.read_bytes() == json.dumps(record, indent=2, ensure_ascii=False).encode("utf-8")
+
+
 def test_fixture_add_empty_and_conflicting():
     assert ReplayFixture().entries == {}
     fixture = ReplayFixture()

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +130,35 @@ def test_detect_cycles_matches_brute_force_on_random_graphs():
         report = detect_cycles(graph)
         assert set(report.cycles) == expected
         assert list(report.cycles) == sorted(report.cycles)
+
+
+def test_cycle_and_shadow_audits_match_networkx_on_seeded_digraphs():
+    rng = random.Random(20261019)
+    large = 0  # graphs with thousands of cycles
+    for index in range(320):
+        kind = (GraphKind.EXTRACTED, GraphKind.GROUND_TRUTH)[index % 2]
+        density = rng.uniform(0.05, 0.9 if kind is GraphKind.EXTRACTED else 0.3)
+        graph = random_graph(rng, rng.randint(1, 12), density, kind=kind)
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(entity.id for entity in graph.entities)
+        digraph.add_edges_from(arc_pairs(graph))
+        expected = sorted(
+            tuple(cycle[cycle.index(min(cycle)):] + cycle[:cycle.index(min(cycle))])
+            for cycle in nx.simple_cycles(digraph)
+        )
+        assert list(detect_cycles(graph, cycle_cap=len(expected)).cycles) == expected
+        if expected:
+            with pytest.raises(CycleBudgetExceededError):
+                detect_cycles(graph, cycle_cap=len(expected) - 1)
+        large += len(expected) >= 2000
+        shadowed = []
+        for arc in graph.arcs:
+            digraph.remove_edge(*arc.pair)
+            if nx.has_path(digraph, *arc.pair):
+                shadowed.append(arc)
+            digraph.add_edge(*arc.pair)
+        assert flag_transitive_candidates(graph) == tuple(shadowed)
+    assert large >= 5
 
 
 def test_detect_cycles_budget():

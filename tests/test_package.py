@@ -3,7 +3,10 @@ README's file-format examples must load."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import causaltext
@@ -46,3 +49,15 @@ def test_every_readme_json_example_loads(tmp_path):
         README_LOADERS[section](block.group(1), tmp_path)
         sections.append(section)
     assert sorted(sections) == sorted(README_LOADERS)
+
+
+def test_the_cli_imports_without_networkx():
+    # networkx is a test dependency only; the package must not need it
+    package_root = str(Path(causaltext.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", "import causaltext.cli, sys; print('networkx' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False\n"
