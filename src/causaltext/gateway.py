@@ -19,6 +19,7 @@ import logging
 import math
 import os
 import random
+import re
 import threading
 import time
 from contextlib import contextmanager, suppress
@@ -563,12 +564,20 @@ def _existing_cache_dir(cache_dir: Path | str) -> Path | None:
     return None
 
 
+_CACHE_FILE = re.compile(r"[0-9a-f]{64}\.json(\.tmp)?")
+
+
+def _cache_files(cache_dir: Path) -> list[Path]:
+    """The regular files named as :func:`_entry_name` names entries, or as their scratch files."""
+    return [p for p in cache_dir.iterdir() if _CACHE_FILE.fullmatch(p.name) and p.is_file()]
+
+
 def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
     """Return (entry_count, total_bytes) for the cache directory; (0, 0) if it is absent."""
     cache_dir = _existing_cache_dir(cache_dir)
     if cache_dir is None:
         return 0, 0
-    entries = [p for p in cache_dir.glob("*.json") if p.is_file()]
+    entries = [p for p in _cache_files(cache_dir) if p.suffix == ".json"]
     return len(entries), sum(p.stat().st_size for p in entries)
 
 
@@ -576,16 +585,17 @@ def clear_cache(cache_dir: Path | str) -> int:
     """Remove every cache entry under the run lock; refused while a run holds it.
 
     Scratch files a killed write left behind go too; only entries are counted.
-    An absent directory has nothing to remove.
+    Other files are kept. An absent directory has nothing to remove.
     """
     cache_dir = _existing_cache_dir(cache_dir)
     if cache_dir is None:
         return 0
     removed = 0
     with run_lock(cache_dir):
-        for path in cache_dir.glob("*.tmp"):
-            path.unlink()
-        for path in cache_dir.glob("*.json"):
-            path.unlink()
-            removed += 1
+        for path in _cache_files(cache_dir):
+            try:
+                path.unlink()
+            except OSError as exc:
+                raise GatewayError(f"cannot remove {path}: {exc.strerror}") from exc
+            removed += path.suffix == ".json"
     return removed

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib.resources import files
-from string import Formatter
 
 from .errors import EmptyTextError, EntityNotInTextError, NoEntitiesFoundError
 from .graph import Entity, normalize_label
@@ -27,13 +26,49 @@ def _template(name: str) -> str:
     return (files("causaltext") / "templates" / name).read_text(encoding="utf-8")
 
 
-def prompt_fingerprint(system_text: str, user_text: str) -> str:
-    """Stable content hash of a prompt; the replay and cache key."""
-    digest = hashlib.sha256()
-    digest.update(system_text.encode("utf-8"))
+_FIELD = re.compile(r"\{(\w+)\}")
+
+
+@lru_cache(maxsize=None)
+def _split(name: str, *fields: str) -> tuple[tuple, tuple]:
+    """Template ``name`` as literal pieces and ``(index, field)`` slots.
+
+    A template is literal text plus ``{field}`` names from ``fields``, and
+    holds no other brace; the first of ``fields`` occurs exactly once, ahead
+    of the others. The pieces hold None at the slots. Any other template
+    raises :class:`ValueError` rather than render a different prompt.
+    """
+    pieces = _FIELD.split(_template(name))
+    names = pieces[1::2]
+    if (
+        any("{" in literal or "}" in literal for literal in pieces[::2])
+        or not set(names) <= set(fields)
+        or fields and (names[:1] != [fields[0]] or fields[0] in names[1:])
+    ):
+        first = f"{{{fields[0]}}} exactly once and first, and " if fields else ""
+        raise ValueError(f"the template {name} must hold {first}no brace but its fields {fields}")
+    slots = tuple(zip(range(1, len(pieces), 2), names))
+    pieces[1::2] = [None] * len(names)
+    return tuple(pieces), slots
+
+
+def _fill(pieces: tuple, slots: tuple, values: dict[str, str]) -> str:
+    filled = list(pieces)
+    for index, name in slots:
+        filled[index] = values[name]
+    return "".join(filled)
+
+
+def _fingerprint(system_text: str, user_start: str) -> hashlib._Hash:
+    """Hash state after the system text, the separator and the start of the user text.
+
+    Its hex digest after the whole user text is the prompt's fingerprint: the
+    replay and cache key.
+    """
+    digest = hashlib.sha256(system_text.encode("utf-8"))
     digest.update(b"\x1f")
-    digest.update(user_text.encode("utf-8"))
-    return digest.hexdigest()
+    digest.update(user_start.encode("utf-8"))
+    return digest
 
 
 @dataclass(frozen=True)
@@ -44,7 +79,7 @@ class RenderedPrompt:
 
     @classmethod
     def create(cls, system_text: str, user_text: str) -> "RenderedPrompt":
-        return cls(system_text, user_text, prompt_fingerprint(system_text, user_text))
+        return cls(system_text, user_text, _fingerprint(system_text, user_text).hexdigest())
 
 
 def _form_pattern(surface_form: str) -> re.Pattern | None:
@@ -117,71 +152,25 @@ class OrientationQuestion:
         return (self.entity_a.id, self.entity_b.id)
 
 
-def _fields(format_string: str) -> list[str]:
-    return [name for _, name, _, _ in Formatter().parse(format_string) if name is not None]
-
-
-# a field's conversion -> what it applies to the label; None leaves the label as it is
-_CONVERSIONS = {None: None, "s": str, "r": repr, "a": ascii}
-
-
-def _compile_tail(format_string: str) -> tuple[tuple, tuple] | None:
-    """``format_string`` as literal pieces and entity slots, or None when it cannot be.
-
-    Only the fields ``entity_a`` and ``entity_b`` qualify, with no format
-    spec and a ``!s``, ``!r`` or ``!a`` conversion or none. Each slot is
-    (index into the pieces, field name, conversion); the pieces hold None at
-    the slots. Filling the slots and joining the pieces equals
-    ``format_string.format(entity_a=..., entity_b=...)`` for string labels.
-    """
-    pieces, slots = [], []
-    for literal, name, spec, conversion in Formatter().parse(format_string):
-        pieces.append(literal)
-        if name is None:
-            continue
-        if name not in ("entity_a", "entity_b") or spec or conversion not in _CONVERSIONS:
-            return None
-        slots.append((len(pieces), name, _CONVERSIONS[conversion]))
-        pieces.append(None)
-    return tuple(pieces), tuple(slots)
-
-
 @lru_cache(maxsize=None)
-def _orientation_template() -> tuple[str, hashlib._Hash, tuple[tuple, tuple]]:
-    """The orientation template split at its one ``{source_text}`` field.
+def _orientation_template() -> tuple[str, tuple, tuple]:
+    """The orientation template split by :func:`_split` at its ``{source_text}``.
 
-    Gives the literal text before the field, the fingerprint state that has
-    hashed the empty system text, the separator and that text, and the
-    text after the field compiled by :func:`_compile_tail`. Any other
-    template, a format spec included, raises :class:`ValueError` rather
-    than render a different prompt.
+    Gives the literal text before that field, and the pieces and slots of
+    the text after it, where ``entity_a`` and ``entity_b`` are the only fields.
     """
-    head, marker, tail = _template("orientation.txt").partition("{source_text}")
-    try:
-        compiled = _compile_tail(tail) if marker and not _fields(head) else None
-    except ValueError:  # a lone brace
-        compiled = None
-    if compiled is None:
-        raise ValueError(
-            "the orientation template must hold {source_text} exactly once, with "
-            "entity_a and entity_b as its only other fields, all after it, with no "
-            "format spec and no conversion but !r, !s or !a"
-        )
-    head = head.format()
-    return head, hashlib.sha256(b"\x1f" + head.encode("utf-8")), compiled
+    pieces, slots = _split("orientation.txt", "source_text", "entity_a", "entity_b")
+    return pieces[0], pieces[2:], tuple((index - 2, name) for index, name in slots[1:])
 
 
 @lru_cache(maxsize=4)
 def _orientation_head(source_text: str) -> tuple[str, hashlib._Hash]:
     """The prompt up to the end of the text, and its fingerprint state.
 
-    The state has hashed the empty system text, the separator and the head;
-    callers ``copy()`` it and never update it, so threads can share it.
+    Callers ``copy()`` the state and never update it, so threads can share it.
     """
-    head, head_digest, _ = _orientation_template()
-    digest = head_digest.copy()
-    digest.update(source_text.encode("utf-8"))
-    return head + source_text, digest
+    head = _orientation_template()[0] + source_text
+    return head, _fingerprint("", head)
 
 
 def render_orientation_prompt(question: OrientationQuestion) -> RenderedPrompt:
@@ -189,20 +178,15 @@ def render_orientation_prompt(question: OrientationQuestion) -> RenderedPrompt:
 
     The prompt head (template prefix plus source text) and its hash are built
     once per text and kept in a small bounded memo, so each pair only fills
-    the slots of the precompiled tail and hashes it. The result, fingerprint
+    the slots of the split tail and hashes it. The result, fingerprint
     included, equals ``RenderedPrompt.create("", template.format(...))``.
     """
     head, head_digest = _orientation_head(question.source_text)
-    pieces, slots = _orientation_template()[2]
-    labels = {
+    _, pieces, slots = _orientation_template()
+    tail = _fill(pieces, slots, {
         "entity_a": question.entity_a.canonical_label,
         "entity_b": question.entity_b.canonical_label,
-    }
-    filled = list(pieces)
-    for index, name, convert in slots:
-        label = labels[name]
-        filled[index] = label if convert is None else convert(label)
-    tail = "".join(filled)
+    })
     digest = head_digest.copy()
     digest.update(tail.encode("utf-8"))
     return RenderedPrompt("", head + tail, digest.hexdigest())
@@ -210,7 +194,8 @@ def render_orientation_prompt(question: OrientationQuestion) -> RenderedPrompt:
 
 def render_reask_prompt(prior: RenderedPrompt) -> RenderedPrompt:
     """Append the answer-tag reminder to a prompt whose reply was unparsable."""
-    user_text = prior.user_text.rstrip("\n") + "\n\n" + _template("reask.txt").rstrip("\n") + "\n"
+    reminder = _fill(*_split("reask.txt"), {})
+    user_text = prior.user_text.rstrip("\n") + "\n\n" + reminder.rstrip("\n") + "\n"
     return RenderedPrompt.create(prior.system_text, user_text)
 
 
@@ -263,9 +248,9 @@ def render_entity_prompt(source_text: str, domain_hint: str = "") -> RenderedPro
         raise EmptyTextError("cannot extract entities from empty text")
     hint = domain_hint.strip()
     emphasis_clause = f" Place particular emphasis on {hint}." if hint else ""
-    user_text = _template("entities.txt").format(
-        source_text=source_text, emphasis_clause=emphasis_clause
-    )
+    user_text = _fill(*_split("entities.txt", "source_text", "emphasis_clause"), {
+        "source_text": source_text, "emphasis_clause": emphasis_clause,
+    })
     return RenderedPrompt.create("", user_text)
 
 

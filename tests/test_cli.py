@@ -14,7 +14,13 @@ from click.testing import CliRunner
 import causaltext
 from causaltext.cli import _resolve_settings, _write, main
 from causaltext.errors import CausalTextError
-from causaltext.gateway import ProviderConfig, ReplayEntry, ReplayFixture, run_lock
+from causaltext.gateway import (
+    ProviderConfig,
+    ReplayEntry,
+    ReplayFixture,
+    _entry_name,
+    run_lock,
+)
 from causaltext.graph import (
     Arc,
     CausalGraph,
@@ -938,9 +944,10 @@ def test_eval_graph_refuses_a_label_that_is_not_utf8_text(tmp_path, runner):
 def test_cache_stats_and_clear_cycle(tmp_path, runner):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    (cache_dir / "entry.json").write_text("{}", encoding="utf-8")
+    entry = _entry_name("some key")
+    (cache_dir / entry).write_text("{}", encoding="utf-8")
     # the scratch file of a write killed before its rename
-    (cache_dir / "abc.tmp").write_text("{", encoding="utf-8")
+    (cache_dir / f"{_entry_name('other key')}.tmp").write_text("{", encoding="utf-8")
     env = _env(tmp_path)
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
@@ -950,10 +957,59 @@ def test_cache_stats_and_clear_cycle(tmp_path, runner):
     result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
     assert result.exit_code == 0
     assert "removed: 1" in result.output
-    assert not (cache_dir / "abc.tmp").exists()
+    assert [path.name for path in cache_dir.iterdir()] == [".runlock"]
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
     assert "entries: 0" in result.output
+
+
+def test_cache_commands_count_and_remove_only_cache_entries(tmp_path, runner, monkeypatch):
+    # a cache directory shared with outputs and a fixture, as with CAUSALTEXT_CACHE_DIR=.
+    kept = ["run.fixture.json", "doc.stats.json", "doc.graph.json", "notes.tmp",
+            f"{_entry_name('key')[:-5]}.JSON", f"x{_entry_name('key')}"]
+    for name in kept:
+        (tmp_path / name).write_text("{}", encoding="utf-8")
+    entry = tmp_path / _entry_name("key")
+    entry.write_text('{"a": 1}', encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    env = {"CAUSALTEXT_CACHE_DIR": "."}
+
+    result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
+    assert result.output == f"entries: 1\nbytes: {entry.stat().st_size}\n"
+    result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
+    assert (result.exit_code, result.output) == (0, "removed: 1\n")
+    assert not entry.exists()
+    assert all((tmp_path / name).exists() for name in kept)
+
+
+def test_cache_clear_keeps_directories_and_names_a_file_it_cannot_remove(
+    tmp_path, runner, monkeypatch
+):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    entry = _entry_name("key")
+    # directories named like an entry and its scratch file, as a blocked write leaves
+    for name in ("abc.json", "def.json.tmp", entry, f"{_entry_name('other')}.tmp"):
+        (cache_dir / name).mkdir()
+    (cache_dir / _entry_name("third")).write_text("{}", encoding="utf-8")
+    env = _env(tmp_path)
+
+    result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
+    assert (result.exit_code, result.output) == (0, "removed: 1\n")
+    assert len([path for path in cache_dir.iterdir() if path.is_dir()]) == 4
+
+    (cache_dir / entry).rmdir()
+    (cache_dir / entry).write_text("{}", encoding="utf-8")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(1, "Operation not permitted", path)
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    result = runner.invoke(main, ["cache", "clear"], env=env)
+    assert result.exit_code == 1
+    assert result.output == (
+        f"error: cannot remove {cache_dir / entry}: Operation not permitted\n"
+    )
 
 
 def test_cache_clear_refused_while_lock_held(tmp_path, runner):

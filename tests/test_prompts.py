@@ -55,6 +55,33 @@ def test_orientation_prompt_matches_golden_template():
     golden = (DATA_DIR / "orientation_golden.txt").read_text(encoding="utf-8")
     assert rendered.user_text == golden
     assert rendered.system_text == ""
+    assert rendered.fingerprint == (
+        "ca66bff4ed4ec3938bed4e50c294452f2479df54f678b4e7a00c204a0e8dbcbf"
+    )
+
+
+MEDICAL_HINT = "diseases, medications, treatments, and symptoms"
+
+
+# Every fixture and cache entry is keyed by a prompt's fingerprint, so one changed
+# byte in any template orphans them all. These goldens pin the prompts besides orientation.
+@pytest.mark.parametrize("golden, fingerprint", [
+    ("entities_golden.txt",
+     "8ed321fa17535d690b76cb9991409282300358511200544358a000b8f6631af3"),
+    ("entities_hint_golden.txt",
+     "900b576ca3ea6e6f5ff74cabae3016b3baadb1be557b2ffabee9de9e73e10c8e"),
+    ("reask_golden.txt",
+     "bd91258406add80b815f3a36f2aca915e9fec5b313d8ec231c17dda0c119b2ea"),
+], ids=["entities", "entities_hint", "reask"])
+def test_entity_and_reask_prompts_keep_golden_bytes_and_fingerprint(golden, fingerprint):
+    rendered = {
+        "entities_golden.txt": render_entity_prompt(COBALT_SENTENCE),
+        "entities_hint_golden.txt": render_entity_prompt(COBALT_SENTENCE, MEDICAL_HINT),
+        "reask_golden.txt": render_reask_prompt(render_orientation_prompt(cobalt_question())),
+    }[golden]
+    assert rendered.system_text == ""
+    assert rendered.user_text == (DATA_DIR / golden).read_bytes().decode("utf-8")
+    assert rendered.fingerprint == fingerprint
 
 
 def test_orientation_prompt_structure():
@@ -149,12 +176,14 @@ def _rendering_with(template: str):
     """Render with a stand-in orientation template; the memos are rebuilt around it."""
     saved = prompts._template
     prompts._template = lambda name: template
+    prompts._split.cache_clear()
     prompts._orientation_template.cache_clear()
     prompts._orientation_head.cache_clear()
     try:
         yield
     finally:
         prompts._template = saved
+        prompts._split.cache_clear()
         prompts._orientation_template.cache_clear()
         prompts._orientation_head.cache_clear()
 
@@ -173,11 +202,11 @@ _labels = (
     .filter(bool)
 )
 _MEMO_SIZE = prompts._orientation_head.cache_info().maxsize
-# Stand-ins for the shipped template: literal percent signs, empty format specs
-# and every conversion a field may carry.
+# Stand-ins for the shipped template: literal percent signs around, between and
+# next to the fields.
 _TRICKY_TEMPLATES = [
-    "100% of {{ %% %s %(entity_a)s\n{source_text}\n%{entity_a}% {entity_b:} %(entity_b)s%",
-    "{source_text}{entity_a!r}|{entity_b!s}|{entity_a!a}|{entity_b!a}|{entity_b}{{%}}",
+    "100% of %% %s %(entity_a)s\n{source_text}\n%{entity_a}% {entity_b} %(entity_b)s%",
+    "{source_text}{entity_a}|{entity_b}|%r{entity_a}%a|{entity_b}{entity_b}%%",
 ]
 
 
@@ -258,12 +287,16 @@ def orientation_template():
     "{source_text!r} {entity_a}",
     "{{source_text}} {entity_a}",
     "{source_text} {entity_a.upper}",
-    # a format spec is refused, not rendered: the tail is compiled without one
+    # a template holds no brace but its fields: no escape, conversion or format spec
+    "{{{source_text}}} <{entity_a}> {{{entity_b}}}",
+    "{source_text} {entity_a!r}",
+    "{source_text} {entity_b!s} {entity_a!a}",
+    "{source_text} {entity_b:}",
     "{source_text} {entity_a:>10}",
     "{source_text} {entity_b!r:>3}",
     "{source_text} {entity_a:{entity_b}}",
-    # a conversion str.format does not know
     "{source_text} {entity_a!x}",
+    "{source_text} {entity_a} }",
 ])
 def test_an_orientation_template_that_cannot_be_split_raises(orientation_template, template):
     orientation_template(template)
@@ -271,12 +304,12 @@ def test_an_orientation_template_that_cannot_be_split_raises(orientation_templat
         render_orientation_prompt(cobalt_question())
 
 
-def test_a_template_with_escaped_braces_renders_as_formatted(orientation_template):
-    orientation_template("{{{source_text}}} <{entity_a!r}> {{{entity_b}}}")
-    question = cobalt_question()
-    assert render_orientation_prompt(question) == RenderedPrompt.create(
-        "", "{" + COBALT_SENTENCE + "} <'fume'> {sensitization}"
-    )
+def test_entity_and_reask_templates_hold_no_brace_but_their_fields(orientation_template):
+    orientation_template("{source_text}{emphasis_clause} {{}}")
+    with pytest.raises(ValueError, match="entities.txt"):
+        render_entity_prompt(COBALT_SENTENCE)
+    with pytest.raises(ValueError, match="reask.txt"):
+        render_reask_prompt(RenderedPrompt.create("", "prompt"))
 
 
 # --- verdict parsing ----------------------------------------------------------
@@ -328,7 +361,7 @@ def test_parse_verdict_is_total(reply):
 
 
 def test_entity_prompt_interpolates_domain_emphasis():
-    hint = "diseases, medications, treatments, and symptoms"
+    hint = MEDICAL_HINT
     rendered = render_entity_prompt("FT1D damages beta cells.", hint)
     assert f"emphasis on {hint}." in rendered.user_text
     for category in ("diseases", "medications", "treatments", "symptoms"):
