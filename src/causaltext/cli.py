@@ -98,7 +98,10 @@ def _file_value(name: str, value: object):
         raise ConfigurationError(
             f"config key {name!r} must be {_JSON_TYPES[kind]}, not {json.dumps(value)}"
         )
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigurationError(f"config key {name!r} is too large for a float") from None
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -106,7 +109,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")

@@ -103,11 +103,19 @@ class ChatExchange:
         object.__setattr__(self, "latency", _checked_latency(self.latency))
 
 
+# the largest latency accepted, so every sum and variance of a run's latencies is finite
+_LATENCY_CEILING_S = 1e9
+
+
 def _checked_latency(value: object) -> float:
-    """A latency: a finite number >= 0, else :class:`ValueError`."""
+    """A latency: a number in [0, :data:`_LATENCY_CEILING_S`], else :class:`ValueError`.
+
+    Comparing an int with a float is exact in Python, so NaN, the infinities
+    and an int too large for a float are refused here, not raised on later.
+    """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and value >= 0):
-        raise ValueError(f"latency must be a finite number >= 0, not {value!r}")
+    if not (number and 0 <= value <= _LATENCY_CEILING_S):
+        raise ValueError(f"latency must be a number in [0, {_LATENCY_CEILING_S:g}], not {value!r}")
     return float(value)
 
 
@@ -179,8 +187,9 @@ class ReplayFixture:
         """Read a saved fixture; a malformed file raises :class:`GatewayError`.
 
         ``entries`` must map fingerprints to objects whose ``reply`` is a
-        string and whose optional ``latency`` is a finite number >= 0. A
-        ``strict`` key, which older fixtures carry, must be ``true``.
+        string and whose optional ``latency`` passes :func:`_checked_latency`.
+        A ``strict`` key, which older fixtures carry, must be ``true``. JSON
+        nested too deeply to decode is malformed too.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -195,7 +204,7 @@ class ReplayFixture:
                 latency = _checked_latency(record.get("latency", 0.0))
                 entries[fingerprint] = ReplayEntry(record["reply"], latency)
             return cls(entries=entries)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise GatewayError(f"cannot load replay fixture {path}: {exc}") from None
 
 
@@ -340,8 +349,13 @@ def _cache_key(config: ProviderConfig, prompt: RenderedPrompt) -> str:
     return prompt.fingerprint + _key_suffix(config)
 
 
+def _checksum(text: str) -> str:
+    """SHA-256 hex of ``text``: it names cache entries and checks their replies."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _entry_name(key: str) -> str:
-    return hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json"
+    return _checksum(key) + ".json"
 
 
 def _cache_path(cache_dir: str | Path, key: str) -> str:
@@ -362,10 +376,6 @@ def _read_file(path: str) -> bytes:
     finally:
         os.close(fd)
     return b"".join(chunks)
-
-
-def _checksum(reply_text: str) -> str:
-    return hashlib.sha256(reply_text.encode("utf-8")).hexdigest()
 
 
 class Gateway:
@@ -505,16 +515,13 @@ class Gateway:
             if record["key"] != key or record["checksum"] != _checksum(reply):
                 raise ValueError("checksum or key mismatch")
             return ChatExchange(prompt, reply, record["latency"], ExchangeSource.CACHE)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             log.warning("cache entry %s corrupt; treating as miss", path)
             return None
 
     def _write_cache_entry(self, path: str, key: str, exchange: ChatExchange) -> None:
         record = {
             "key": key,
-            "fingerprint": exchange.prompt.fingerprint,
-            "model_name": self._config.model_name,
-            "temperature": self._config.temperature,
             "reply_text": exchange.reply_text,
             "latency": exchange.latency,
             "checksum": _checksum(exchange.reply_text),

@@ -541,7 +541,7 @@ def parse_graph(text: str, kind: GraphKind = GraphKind.EXTRACTED) -> CausalGraph
     """Parse a structured graph file (the inverse of STRUCTURED serialization)."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphFileError(f"not valid JSON: {exc}") from None
     try:
         entities = [_parse_entity_record(r) for r in _field(payload, "entities", list)]

@@ -39,9 +39,9 @@ from .graph import (
 from .prompts import (
     OrientationQuestion,
     Verdict,
+    _earliest,
     document_order,
     entity_offset,
-    find_first_offset,
     oriented,
     parse_entity_list,
     parse_verdict,
@@ -114,28 +114,26 @@ def extract_entities(
     """Ask the model for entities and turn its reply into graph nodes.
 
     Synonym groups collapse into one entity whose canonical label is the
-    group member appearing earliest in the text and whose surface forms keep
-    every member; every other span is a group of one. A group none of whose
-    members occurs in the text is dropped with a warning, the result is
-    sorted by first offset, and at most ``entity_cap`` entities survive
-    (earliest mentions win).
+    group's listed span appearing earliest in the text and whose surface
+    forms keep every member; every other span is a group of one. A group
+    none of whose listed spans occurs in the text is dropped with a warning,
+    the result is sorted by first offset, and at most ``entity_cap``
+    entities survive (earliest mentions win).
     """
     prompt = render_entity_prompt(source_text, domain_hint)
     exchange = gateway.cached_complete(prompt)
     listing = parse_entity_list(exchange.reply_text)
-    offsets = {span: find_first_offset(source_text, span) for span in listing.entities}
 
+    listed = frozenset(listing.entities)
     grouped = frozenset().union(*listing.merge_groups)
     singles = (frozenset({span}) for span in listing.entities if span not in grouped)
     entities: list[Entity] = []
     for cluster in (*listing.merge_groups, *singles):
-        located = sorted(
-            (offset, m) for m in cluster if (offset := offsets.get(m)) is not None
-        )
-        if not located:
+        located = _earliest(source_text, cluster & listed)
+        if located is None:
             log.warning("dropping %s: does not occur in the text", sorted(cluster))
             continue
-        first_offset, canonical = located[0]
+        first_offset, canonical = located
         entities.append(
             Entity(id=canonical, canonical_label=canonical, surface_forms=cluster,
                    first_offset=first_offset)
@@ -245,18 +243,15 @@ class PipelineRun:
 
 
 def _stats_from(
-    questions: tuple[OrientationQuestion, ...],
-    verdicts: dict[PairKey, Verdict],
-    latency_lists: list[tuple[float, ...]],
+    verdicts: dict[PairKey, Verdict], latency_lists: list[tuple[float, ...]]
 ) -> RunStats:
     """``latency_lists`` holds each question's exchange latencies, a re-ask's included."""
     latencies = [latency for pair_latencies in latency_lists for latency in pair_latencies]
-    finals = [verdicts[q.pair_key] for q in questions]
     return RunStats(
-        query_count=len(questions),
+        query_count=len(verdicts),
         reask_count=sum(1 for pair_latencies in latency_lists if len(pair_latencies) > 1),
-        abstention_count=sum(1 for v in finals if v is Verdict.NO_RELATION),
-        unparsable_count=sum(1 for v in finals if v is Verdict.UNPARSABLE),
+        abstention_count=sum(1 for v in verdicts.values() if v is Verdict.NO_RELATION),
+        unparsable_count=sum(1 for v in verdicts.values() if v is Verdict.UNPARSABLE),
         mean_latency=statistics.fmean(latencies) if latencies else 0.0,
         stdev_latency=statistics.stdev(latencies) if len(latencies) >= 2 else 0.0,
         projected_serial_seconds=sum(latencies),
@@ -334,7 +329,7 @@ def run_pipeline(
         cycle_report=cycle_report,
         transitive_arcs=transitive,
         removed_arcs=removed,
-        stats=_stats_from(questions, verdicts, latency_lists),
+        stats=_stats_from(verdicts, latency_lists),
     )
 
 

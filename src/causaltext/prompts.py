@@ -101,21 +101,23 @@ def find_first_offset(source_text: str, surface_form: str) -> int | None:
     return match.start() if match else None
 
 
+def _earliest(source_text: str, forms: frozenset[str]) -> tuple[int, str] | None:
+    """The earliest ``(offset, form)`` over ``forms`` (ties to the smaller form), or None."""
+    located = ((find_first_offset(source_text, form), form) for form in forms)
+    return min(((offset, form) for offset, form in located if offset is not None), default=None)
+
+
 def entity_offset(source_text: str, entity: Entity) -> int:
     """Earliest offset over all surface forms of ``entity``.
 
     Raises :class:`EntityNotInTextError` when no surface form occurs.
     """
-    offsets = [
-        offset
-        for form in entity.surface_forms
-        if (offset := find_first_offset(source_text, form)) is not None
-    ]
-    if not offsets:
+    located = _earliest(source_text, entity.surface_forms)
+    if located is None:
         raise EntityNotInTextError(
             f"no surface form of {entity.canonical_label!r} occurs in the text"
         )
-    return min(offsets)
+    return located[0]
 
 
 def document_order(entity: Entity) -> tuple[int, str]:

@@ -7,13 +7,26 @@ once ``perfbench/tests`` is collected in the same run.
 
 from __future__ import annotations
 
+import os
 import threading
 from pathlib import Path
 
+import causaltext
 from causaltext.gateway import ExchangeSource
 from causaltext.graph import ArcFlag, CausalGraph, flag_transitive_candidates
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child Python: this one's, the package root put ahead on its path.
+
+    The parent's ``PYTHONPATH`` stays behind the root, so a child finds the
+    dependencies wherever the parent found them.
+    """
+    package_root = str(Path(causaltext.__file__).resolve().parents[1])
+    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": search_path, **extra}
 
 
 def transitive_flagged(graph: CausalGraph) -> CausalGraph:

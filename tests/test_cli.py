@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-import causaltext
 from causaltext.cli import _resolve_settings, _write, main
 from causaltext.errors import CausalTextError
 from causaltext.gateway import (
@@ -31,7 +30,7 @@ from causaltext.graph import (
 )
 from causaltext.pipeline import PipelineConfig
 from causaltext.prompts import OrientationQuestion, render_entity_prompt, render_orientation_prompt
-from helpers import transitive_flagged
+from helpers import child_env, transitive_flagged
 from synth import benchmark_with_scripted_replies, pipeline_document
 
 
@@ -361,6 +360,38 @@ def test_malformed_replay_fixture_exits_one(tmp_path, runner, case):
     assert not (tmp_path / "out").exists()
 
 
+_DEEPLY_NESTED = "[" * 200_000  # deeper than the JSON decoder can recurse
+
+# refused on load, like the malformed fixtures above
+UNHOLDABLE_FIXTURES = {
+    "latency too large for a float": lambda payload: _every_entry(payload, "latency", 10**400),
+    "latency above the ceiling": lambda payload: _every_entry(payload, "latency", 1e308),
+    "nested too deeply": lambda payload: _DEEPLY_NESTED,
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNHOLDABLE_FIXTURES))
+def test_a_replay_fixture_out_of_range_or_nested_too_deeply_exits_one(tmp_path, runner, case):
+    source_text, fixture = pipeline_document(4)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    content = UNHOLDABLE_FIXTURES[case](json.loads(fixture_path.read_text(encoding="utf-8")))
+    fixture_path.write_text(
+        content if isinstance(content, str) else json.dumps(content), encoding="utf-8"
+    )
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["extract", "--replay", str(fixture_path), "--out", str(tmp_path / "out"), str(doc)],
+        env=_env(tmp_path),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: cannot load replay fixture" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_warm_cache_record_captures_every_exchange(tmp_path, runner, monkeypatch):
     from causaltext import cli
     from causaltext.gateway import ReplayTransport
@@ -460,6 +491,46 @@ def test_undecodable_cache_entry_is_refetched_and_the_batch_completes(tmp_path, 
     assert json.loads(entry.read_text(encoding="utf-8"))["reply_text"]
 
 
+def _with_latency_too_large_for_a_float(entry_text: str) -> str:
+    return json.dumps({**json.loads(entry_text), "latency": 10**400})
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_with_latency_too_large_for_a_float, lambda entry_text: _DEEPLY_NESTED],
+    ids=["latency too large for a float", "nested too deeply"],
+)
+def test_a_cache_entry_out_of_range_or_nested_too_deeply_is_refetched(
+    tmp_path, runner, caplog, corrupt
+):
+    source_text, fixture = pipeline_document(4)
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    doc = tmp_path / "doc0.txt"
+    doc.write_text(source_text, encoding="utf-8")
+
+    def extract(out: str):
+        return runner.invoke(
+            main,
+            ["extract", "--replay", str(fixture_path), "--out", str(tmp_path / out), str(doc)],
+            env=_env(tmp_path),
+            catch_exceptions=False,
+        )
+
+    assert extract("warm").exit_code == 0
+    for entry in sorted((tmp_path / "cache").glob("*.json")):
+        entry.write_text(corrupt(entry.read_text(encoding="utf-8")), encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        result = extract("out")
+    assert result.exit_code == 0, result.output
+    assert any("corrupt; treating as miss" in r.message for r in caplog.records)
+    for suffix in OUTPUT_SUFFIXES:
+        written = (tmp_path / "out" / f"doc0{suffix}").read_bytes()
+        assert written == (tmp_path / "warm" / f"doc0{suffix}").read_bytes()
+    for entry in (tmp_path / "cache").glob("*.json"):
+        assert json.loads(entry.read_text(encoding="utf-8"))["latency"] == 0.0
+
+
 def test_failed_cache_write_leaves_the_batch_running(tmp_path, runner):
     entries = {}
     docs = []
@@ -514,11 +585,10 @@ def test_a_failed_output_write_leaves_the_old_file_as_it_was(tmp_path):
     path = tmp_path / "doc.cycles.json"
     _write(path, '{"is_acyclic": true, "cycles": []}\n')
     old = path.read_bytes()
-    package_root = str(Path(causaltext.__file__).resolve().parents[1])
     # a child process, so the file-size limit binds nothing else
     child = subprocess.run(
         [sys.executable, "-c", _WRITE_UNDER_A_FILE_SIZE_LIMIT, str(path)],
-        env={**os.environ, "PYTHONPATH": package_root},
+        env=child_env(),
         capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 3, child.stderr
@@ -920,6 +990,16 @@ def test_eval_graph_malformed_graph_file_exits_one(tmp_path, runner):
     assert "error:" in result.output
 
 
+def test_eval_graph_on_a_graph_file_nested_too_deeply_exits_one(tmp_path, runner):
+    bad = tmp_path / "bad.json"
+    bad.write_text(_DEEPLY_NESTED, encoding="utf-8")
+    result = runner.invoke(
+        main, ["eval-graph", str(bad), str(bad)], env=_env(tmp_path), catch_exceptions=False
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: not valid JSON" in result.output
+
+
 def test_eval_graph_refuses_a_label_that_is_not_utf8_text(tmp_path, runner):
     bad = tmp_path / "bad.json"
     # the JSON escape of a lone surrogate: valid JSON, but no UTF-8 text
@@ -1107,13 +1187,12 @@ def test_lock_held_by_another_process_refuses_runs_until_it_dies(tmp_path, runne
         "    print('held', flush=True)\n"
         "    sys.stdin.read()\n"
     )
-    package_root = str(Path(causaltext.__file__).resolve().parents[1])
     holder = subprocess.Popen(
         [sys.executable, "-c", holder_code, str(tmp_path / "cache")],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": package_root},
+        env=child_env(),
     )
     try:
         assert holder.stdout.readline() == "held\n"
@@ -1182,7 +1261,6 @@ def test_killed_run_resumes_paying_only_for_what_it_lacks(tmp_path, runner):
     doc = tmp_path / "doc.txt"
     doc.write_text(source_text, encoding="utf-8")
     cache_dir = tmp_path / "cache"
-    package_root = str(Path(causaltext.__file__).resolve().parents[1])
 
     def start(path: str, out: str) -> subprocess.Popen:
         config_path = tmp_path / f"{out}.config.json"
@@ -1194,8 +1272,7 @@ def test_killed_run_resumes_paying_only_for_what_it_lacks(tmp_path, runner):
             [sys.executable, "-m", "causaltext.cli", "extract", "--parallelism", "4",
              "--config", str(config_path), "--out", str(tmp_path / out), str(doc)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            env={**os.environ, "PYTHONPATH": package_root,
-                 "CAUSALTEXT_CACHE_DIR": str(cache_dir)},
+            env=child_env(CAUSALTEXT_CACHE_DIR=str(cache_dir)),
         )
 
     processes = []
@@ -1396,6 +1473,28 @@ def test_config_file_that_cannot_be_used_exits_one(tmp_path, runner, content, me
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"requests_per_minute": ' + "1" * 400 + "}",
+         "config key 'requests_per_minute' is too large for a float"),
+        (_DEEPLY_NESTED, "cannot read config file {path}: "),
+    ],
+    ids=["number too large for a float", "nested too deeply"],
+)
+def test_a_config_file_out_of_range_or_nested_too_deeply_exits_one(
+    tmp_path, runner, content, message
+):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(content, encoding="utf-8")
+    result = runner.invoke(
+        main, ["cache", "stats", "--config", str(config_path)],
+        env=_env(tmp_path), catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: " + message.format(path=config_path) in result.output
+
+
+@pytest.mark.parametrize(
     "key, args, config, env",
     [
         ("model", [], {"model": "gpt\ud800"}, {}),
@@ -1530,6 +1629,29 @@ def test_non_http_endpoint_exits_one_before_any_request(tmp_path, runner, monkey
     assert result.exit_code == 1, result.output
     assert "error: endpoint 'localhost:9/v1/chat/completions' is not" in result.output
     assert calls == []
+
+
+def test_an_entity_cap_below_two_is_refused_before_the_lock_and_any_query(
+    tmp_path, runner, monkeypatch
+):
+    from causaltext import cli
+    from causaltext.gateway import ReplayTransport
+    from helpers import CountingTransport
+
+    source_text, fixture = pipeline_document(4)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    live = CountingTransport(ReplayTransport(fixture))
+    monkeypatch.setattr(cli, "LiveTransport", lambda config: live)
+    result = runner.invoke(
+        main, ["extract", "--entity-cap", "1", "--out", str(tmp_path / "out"), str(doc)],
+        env=_env(tmp_path), catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: entity_cap must be >= 2" in result.output
+    assert live.calls == 0
+    assert not (tmp_path / "cache").exists()  # refused before the run lock
+    assert not (tmp_path / "out").exists()
 
 
 def test_settings_reject_unknown_config_keys(tmp_path):

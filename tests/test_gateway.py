@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -41,7 +42,7 @@ from causaltext.gateway import (
     run_lock,
 )
 from causaltext.prompts import RenderedPrompt
-from helpers import CountingTransport, ScriptedTransport
+from helpers import CountingTransport, ScriptedTransport, child_env
 
 GOOD_PAYLOAD = {"choices": [{"message": {"content": "fine.\n<Answer>A</Answer>"}}]}
 
@@ -118,11 +119,10 @@ def test_a_failed_fixture_save_leaves_the_old_file_as_it_was(tmp_path):
     path = tmp_path / "fixture.json"
     ReplayFixture({"fp": ReplayEntry("the old reply", 1.5)}).save(path)
     old = path.read_bytes()
-    package_root = str(Path(gateway_module.__file__).resolve().parents[1])
     # a child process, so the file-size limit binds nothing else
     child = subprocess.run(
         [sys.executable, "-c", _SAVE_UNDER_A_FILE_SIZE_LIMIT, str(path)],
-        env={**os.environ, "PYTHONPATH": package_root},
+        env=child_env(),
         capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 3, child.stderr
@@ -435,7 +435,8 @@ def test_cache_key_discriminates_model_and_temperature(tmp_path):
     gateway_b, transport_b = _cached_gateway(tmp_path, ["from b"], model_name="model-b")
     assert gateway_b.cached_complete(prompt).reply_text == "from b"
     entry_b = Path(_cache_path(gateway_b.config.cache_dir, _cache_key(gateway_b.config, prompt)))
-    assert json.loads(entry_b.read_text(encoding="utf-8"))["model_name"] == "model-b"
+    entry_key = json.loads(entry_b.read_text(encoding="utf-8"))["key"]
+    assert entry_key == f"{prompt.fingerprint}|model-b|0.0"
     gateway_c, transport_c = _cached_gateway(
         tmp_path, ["from c"], model_name="model-a", temperature=1.0
     )
@@ -554,6 +555,51 @@ def test_cache_entry_with_bad_latency_treated_as_miss(tmp_path, caplog, latency)
     assert (exchange.reply_text, exchange.latency) == ("two", 0.0)
     assert transport.calls == 2
     assert any("corrupt" in record.message for record in caplog.records)
+
+
+def test_a_new_cache_entry_holds_its_key_reply_latency_and_checksum(tmp_path):
+    gateway, _ = _cached_gateway(tmp_path, ["one"])
+    prompt = prompt_for("q")
+    gateway.cached_complete(prompt)
+    key = _cache_key(gateway.config, prompt)
+    path = Path(_cache_path(gateway.config.cache_dir, key))
+    assert path.name == hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert list(record) == ["key", "reply_text", "latency", "checksum"]
+    assert record == {"key": key, "reply_text": "one", "latency": 0.0,
+                      "checksum": hashlib.sha256(b"one").hexdigest()}
+
+
+def test_a_cache_entry_in_the_seven_field_layout_still_hits(tmp_path):
+    gateway, transport = _cached_gateway(tmp_path, [])
+    prompt = prompt_for("q")
+    key = _cache_key(gateway.config, prompt)
+    path = Path(_cache_path(gateway.config.cache_dir, key))
+    path.parent.mkdir()
+    # older versions also stored the three parts of the key
+    path.write_text(json.dumps({
+        "key": key,
+        "fingerprint": prompt.fingerprint,
+        "model_name": gateway.config.model_name,
+        "temperature": gateway.config.temperature,
+        "reply_text": "old",
+        "latency": 2.5,
+        "checksum": hashlib.sha256(b"old").hexdigest(),
+    }, indent=2), encoding="utf-8")
+    exchange = gateway.cached_complete(prompt)
+    assert (exchange.reply_text, exchange.latency) == ("old", 2.5)
+    assert exchange.source is ExchangeSource.CACHE
+    assert transport.calls == 0
+
+
+@pytest.mark.parametrize(
+    "latency", [10**9 + 1, 1e9 + 1, 1e308, 10**400],
+    ids=["int above", "float above", "1e308", "int too large for a float"],
+)
+def test_a_latency_above_the_ceiling_is_refused(latency):
+    with pytest.raises(ValueError, match="latency must be a number in"):
+        ChatExchange(prompt_for("q"), "reply", latency, ExchangeSource.LIVE)
+    assert ChatExchange(prompt_for("q"), "reply", 10**9, ExchangeSource.LIVE).latency == 1e9
 
 
 # --- rate limiting ------------------------------------------------------------

@@ -7,14 +7,12 @@ so these runs pin it in child processes.
 from __future__ import annotations
 
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import causaltext
+from helpers import child_env
 from synth import pipeline_document
 from test_golden_outputs import CYCLIC_ENTITY_COUNT, EXTRACT_DIGESTS
 
@@ -24,15 +22,12 @@ def test_replayed_enforced_extract_matches_pinned_digests_under_hash_seed(tmp_pa
     source_text, fixture = pipeline_document(CYCLIC_ENTITY_COUNT)
     fixture.save(tmp_path / "fixture.json")
     (tmp_path / "doc.txt").write_text(source_text, encoding="utf-8")
-    package_root = str(Path(causaltext.__file__).resolve().parents[1])
-    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-m", "causaltext.cli", "extract",
          "--replay", "fixture.json", "--enforce-acyclic", "--parallelism", "4",
          "--out", "out", "doc.txt"],
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": search_path, "PYTHONHASHSEED": seed,
-             "CAUSALTEXT_CACHE_DIR": "cache"},
+        env=child_env(PYTHONHASHSEED=seed, CAUSALTEXT_CACHE_DIR="cache"),
         capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0, child.stderr

@@ -3,7 +3,6 @@ README's file-format examples must load."""
 
 from __future__ import annotations
 
-import os
 import re
 import subprocess
 import sys
@@ -12,6 +11,7 @@ from pathlib import Path
 import causaltext
 from causaltext.gateway import ReplayFixture
 from causaltext.graph import parse_graph
+from helpers import child_env
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -53,10 +53,9 @@ def test_every_readme_json_example_loads(tmp_path):
 
 def test_the_cli_imports_without_networkx():
     # networkx is a test dependency only; the package must not need it
-    package_root = str(Path(causaltext.__file__).resolve().parents[1])
     child = subprocess.run(
         [sys.executable, "-c", "import causaltext.cli, sys; print('networkx' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": package_root},
+        env=child_env(),
         capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0, child.stderr
