@@ -182,8 +182,9 @@ def _run_session(settings: Settings) -> Iterator[Gateway]:
 
     The replay fixture is loaded, and a record path whose directory does not
     exist refused, before the lock is taken and before any query. The record
-    fixture is saved inside the lock, however the run ends, so a refused run
-    never touches the record file and a failed one keeps what it paid for.
+    fixture is saved, and the cache store closed, inside the lock, however the
+    run ends, so a refused run never touches the record file and a failed one
+    keeps what it paid for.
     """
     record = None
     if settings.record_path:
@@ -197,9 +198,10 @@ def _run_session(settings: Settings) -> Iterator[Gateway]:
         transport = ReplayTransport(ReplayFixture.load(settings.replay_path))
     else:
         transport = LiveTransport(settings.provider)
-    with run_lock(settings.provider.cache_dir):
+    with run_lock(settings.provider.cache_dir), \
+            Gateway(settings.provider, transport, record) as gateway:
         try:
-            yield Gateway(settings.provider, transport, record)
+            yield gateway
         finally:
             if record is not None:
                 record.save(settings.record_path)

@@ -5,9 +5,10 @@ transport speaking the OpenAI-compatible chat-completions shape, and a replay
 transport that answers from a recorded fixture (fully offline and
 deterministic). The gateway can record every exchange it serves, cache hits
 included, into a fixture so the run can be replayed later. The persistent
-cache is keyed by prompt fingerprint, model name and temperature, and keeps
-replayed entries apart from live ones, so switching models never serves
-stale verdicts and a replayed fixture never answers a live run.
+cache, one SQLite file in the cache directory, is keyed by prompt
+fingerprint, model name and temperature, and keeps replayed entries apart
+from live ones, so switching models never serves stale verdicts and a
+replayed fixture never answers a live run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import os
 import random
 import re
+import sqlite3
 import threading
 import time
 from contextlib import contextmanager, suppress
@@ -355,27 +357,67 @@ def _checksum(text: str) -> str:
 
 
 def _entry_name(key: str) -> str:
+    """The file name of ``key``'s entry in the legacy one-file-per-entry layout."""
     return _checksum(key) + ".json"
 
 
-def _cache_path(cache_dir: str | Path, key: str) -> str:
-    """Where the entry for ``key`` lives; :class:`Gateway` builds the same string."""
-    return os.path.join(cache_dir, _entry_name(key))
+_LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
 
 
-_READ_CHUNK = 1 << 16
+STORE_NAME = "cache.sqlite"
+# PERSIST zeroes the rollback journal's header at each commit instead of deleting the
+# file; OFF never waits for the disk, as no other write of the package does;
+# EXCLUSIVE keeps the file lock from the first read until close, so a hit neither
+# locks nor revalidates the page cache
+_STORE_SETUP = """
+PRAGMA locking_mode=EXCLUSIVE;
+PRAGMA synchronous=OFF;
+PRAGMA journal_mode=PERSIST;
+CREATE TABLE IF NOT EXISTS entries(
+    key TEXT PRIMARY KEY, reply TEXT NOT NULL, latency REAL NOT NULL, checksum TEXT NOT NULL
+) WITHOUT ROWID;
+"""
+_SELECT = "SELECT reply, latency, checksum FROM entries WHERE key = ?"
+_UPSERT = "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)"
 
 
-def _read_file(path: str) -> bytes:
-    """The whole file at ``path``, read to EOF through one descriptor."""
-    fd = os.open(path, os.O_RDONLY)
+def _raise_if_held(exc: Exception, path: str) -> None:
+    """Raise :class:`RunLockHeldError` if ``exc`` is SQLite finding ``path`` locked elsewhere."""
+    if isinstance(exc, sqlite3.OperationalError) and str(exc).startswith("database is locked"):
+        raise RunLockHeldError(f"cache store {path} is in use by another connection") from None
+
+
+def _connect(path: str) -> sqlite3.Connection:
+    db = sqlite3.connect(path, timeout=0, isolation_level=None, check_same_thread=False)
     try:
-        chunks = []
-        while chunk := os.read(fd, _READ_CHUNK):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
+        db.executescript(_STORE_SETUP)
+    except BaseException:
+        db.close()
+        raise
+    return db
+
+
+def _open_store(cache_dir: str) -> sqlite3.Connection:
+    """A connection to ``cache_dir``'s store, made with its table if absent.
+
+    A file SQLite cannot read as a database is moved aside to
+    ``cache.sqlite.corrupt``, with its journal, and an empty store takes its
+    place. Other failures, a store locked by another connection among them,
+    raise :class:`sqlite3.Error` or :class:`OSError`.
+    """
+    os.makedirs(cache_dir, exist_ok=True)
+    path = os.path.join(cache_dir, STORE_NAME)
+    try:
+        return _connect(path)
+    except sqlite3.OperationalError:
+        raise
+    except sqlite3.DatabaseError as exc:
+        log.warning("cache store %s is damaged (%s); moved aside to %s.corrupt, "
+                    "going on with an empty store", path, exc, path)
+        os.replace(path, f"{path}.corrupt")
+        with suppress(FileNotFoundError):
+            os.replace(f"{path}-journal", f"{path}.corrupt-journal")
+        return _connect(path)
 
 
 class Gateway:
@@ -384,7 +426,10 @@ class Gateway:
     With a ``record`` fixture, every exchange :meth:`cached_complete` returns,
     from the cache or the transport, is added to it for a later replay. After
     the first :class:`AuthError` the gateway sends nothing more: every later
-    call that would send raises that error instead.
+    call that would send raises that error instead. The gateway opens its
+    cache store the first time it reads an existing store or writes a reply,
+    and holds it until :meth:`close`; used as a context manager, it closes on
+    exit.
     """
 
     def __init__(
@@ -397,19 +442,37 @@ class Gateway:
         self._transport = transport
         self._record = record
         self._cache_dir = os.fspath(config.cache_dir)
-        # built once, so a query's key and entry path are concatenations equal to
-        # _cache_key (behind "replay|" for a replay transport) and _cache_path
+        self._store_path = os.path.join(self._cache_dir, STORE_NAME)
+        # built once, so a query's key is a concatenation equal to _cache_key
+        # (behind "replay|" for a replay transport)
         self._key_prefix = "replay|" if transport.source is ExchangeSource.REPLAY else ""
         self._key_suffix = _key_suffix(config)
-        self._entry_prefix = os.path.join(self._cache_dir, "")
         # key -> [lock, callers holding or awaiting it]; only keys with a miss in flight
         self._key_locks: dict[str, list] = {}
         self._locks_guard = threading.Lock()
+        # the store connection, shared by every thread under _store_lock
+        self._db: sqlite3.Connection | None = None
+        self._store_lock = threading.Lock()
+        # whether cache_dir holds legacy entry files, looked at on the first miss
+        self._has_legacy: bool | None = None
         self._auth_error: AuthError | None = None
 
     @property
     def config(self) -> ProviderConfig:
         return self._config
+
+    def close(self) -> None:
+        """Close the cache store, releasing its lock; a later query opens it again."""
+        with self._store_lock:
+            if self._db is not None:
+                self._db.close()
+                self._db = None
+
+    def __enter__(self) -> "Gateway":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def complete(self, prompt: RenderedPrompt) -> ChatExchange:
         """Send the prompt, retrying transient failures with jittered backoff.
@@ -456,27 +519,27 @@ class Gateway:
 
         The cache key includes model name and temperature, and a replay
         transport's keys carry a ``replay|`` prefix, so a fixture's reply
-        never answers a live run. A hit is read as bytes through one file
-        descriptor and parsed once. An entry that cannot be read (a directory
-        at its path, say) or is corrupt (bytes that are not UTF-8 JSON, a
-        wrong key, a checksum mismatch or a bad latency) is logged and treated
-        as a miss, and the refetched reply overwrites it. Writes are atomic
-        and serialized per key, so concurrent callers of the same prompt
-        trigger at most one provider call; a key's lock is dropped once no
-        caller holds or awaits it. An empty completion, or one whose cache
-        write fails (logged), is returned and recorded but not cached, so a
-        later run asks again.
+        never answers a live run. A row that cannot be read, or is corrupt (a
+        reply that is no text, a checksum mismatch or a bad latency), is
+        logged and treated as a miss, and the refetched reply replaces it. A
+        miss in the store is looked up in the legacy entry files, and a valid
+        one is imported without a send. A store held by another connection
+        raises :class:`RunLockHeldError` rather than paying for a reply again.
+        Each write commits on its own, and writes are serialized per key, so
+        concurrent callers of the same prompt trigger at most one provider
+        call; a key's lock is dropped once no caller holds or awaits it. An
+        empty completion, or one whose cache write fails (logged), is
+        returned and recorded but not cached, so a later run asks again.
         """
         key = self._key_prefix + prompt.fingerprint + self._key_suffix
-        path = self._entry_prefix + _entry_name(key)
-        exchange = self._read_cache_entry(path, key, prompt)
+        exchange = self._read_cache_entry(key, prompt)
         if exchange is None:
             with self._key_lock(key):
-                exchange = self._read_cache_entry(path, key, prompt)
+                exchange = self._read_cache_entry(key, prompt)
                 if exchange is None:
-                    exchange = self.complete(prompt)
+                    exchange = self._read_legacy_entry(key, prompt) or self.complete(prompt)
                     if exchange.reply_text:
-                        self._write_cache_entry(path, key, exchange)
+                        self._write_cache_entry(key, exchange)
         if self._record is not None:
             with self._locks_guard:
                 self._record.add(exchange)
@@ -497,40 +560,66 @@ class Gateway:
                 if not entry[1]:
                     del self._key_locks[key]
 
-    def _read_cache_entry(
-        self, path: str, key: str, prompt: RenderedPrompt
-    ) -> ChatExchange | None:
+    def _store(self, create: bool) -> sqlite3.Connection | None:
+        """The store connection, opened on first use; None while no store exists to read.
+
+        The caller holds ``_store_lock``.
+        """
+        if self._db is None and (create or os.path.exists(self._store_path)):
+            self._db = _open_store(self._cache_dir)
+        return self._db
+
+    def _read_cache_entry(self, key: str, prompt: RenderedPrompt) -> ChatExchange | None:
         try:
-            raw = _read_file(path)
-        except FileNotFoundError:
+            with self._store_lock:
+                db = self._db or self._store(create=False)
+                row = db.execute(_SELECT, (key,)).fetchone() if db else None
+            if row is None:
+                return None
+            reply, latency, checksum = row
+            if not isinstance(reply, str) or checksum != _checksum(reply):
+                raise ValueError("the reply is no text or fails its checksum")
+            return ChatExchange(prompt, reply, latency, ExchangeSource.CACHE)
+        except (sqlite3.Error, OSError, ValueError) as exc:
+            _raise_if_held(exc, self._store_path)
+            log.warning("cache entry %s in %s unreadable or corrupt (%s); treating as miss",
+                        key, self._store_path, exc)
             return None
-        except OSError as exc:
-            log.warning("cache entry %s unreadable (%s); treating as miss", path, exc)
+
+    def _read_legacy_entry(self, key: str, prompt: RenderedPrompt) -> ChatExchange | None:
+        """The valid entry file an earlier version wrote for ``key``, or None."""
+        if self._has_legacy is None:
+            with suppress(OSError):
+                self._has_legacy = any(map(_LEGACY_ENTRY.fullmatch, os.listdir(self._cache_dir)))
+        if not self._has_legacy:
             return None
+        path = os.path.join(self._cache_dir, _entry_name(key))
         try:
-            record = json.loads(raw.decode("utf-8"))
+            with open(path, "rb") as handle:
+                record = json.loads(handle.read().decode("utf-8"))
             reply = record["reply_text"]
             if not isinstance(reply, str):
                 raise ValueError("reply_text is not a string")
             if record["key"] != key or record["checksum"] != _checksum(reply):
                 raise ValueError("checksum or key mismatch")
             return ChatExchange(prompt, reply, record["latency"], ExchangeSource.CACHE)
-        except (ValueError, KeyError, TypeError, RecursionError):
-            log.warning("cache entry %s corrupt; treating as miss", path)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+            log.warning("legacy cache entry %s unreadable or corrupt (%s); treating as miss",
+                        path, exc)
             return None
 
-    def _write_cache_entry(self, path: str, key: str, exchange: ChatExchange) -> None:
-        record = {
-            "key": key,
-            "reply_text": exchange.reply_text,
-            "latency": exchange.latency,
-            "checksum": _checksum(exchange.reply_text),
-        }
+    def _write_cache_entry(self, key: str, exchange: ChatExchange) -> None:
+        reply = exchange.reply_text
         try:
-            os.makedirs(self._cache_dir, exist_ok=True)
-            _write_atomically(path, _json_chunks(record, end=""))
-        except OSError as exc:
-            log.warning("cache entry %s not written (%s); a later run asks again", path, exc)
+            with self._store_lock:
+                self._store(create=True).execute(
+                    _UPSERT, (key, reply, exchange.latency, _checksum(reply)))
+        except (sqlite3.Error, OSError) as exc:
+            _raise_if_held(exc, self._store_path)
+            log.warning("cache entry %s not written to %s (%s); a later run asks again",
+                        key, self._store_path, exc)
 
 
 @contextmanager
@@ -571,34 +660,56 @@ def _existing_cache_dir(cache_dir: Path | str) -> Path | None:
     return None
 
 
-_CACHE_FILE = re.compile(r"[0-9a-f]{64}\.json(\.tmp)?")
+# the store, its journal and a damaged store moved aside; then legacy entries and
+# the scratch files of their writes
+_CACHE_FILE = re.compile(
+    rf"{re.escape(STORE_NAME)}(\.corrupt)?(-journal)?|{_LEGACY_ENTRY.pattern}(\.tmp)?")
 
 
 def _cache_files(cache_dir: Path) -> list[Path]:
-    """The regular files named as :func:`_entry_name` names entries, or as their scratch files."""
+    """The regular files of the store and of legacy entries under ``cache_dir``."""
     return [p for p in cache_dir.iterdir() if _CACHE_FILE.fullmatch(p.name) and p.is_file()]
 
 
+def _store_rows(cache_dir: Path) -> int:
+    """The rows of ``cache_dir``'s store, 0 when it has none; the caller holds the run lock."""
+    path = os.path.join(cache_dir, STORE_NAME)
+    if not os.path.exists(path):
+        return 0
+    try:
+        db = _open_store(os.fspath(cache_dir))
+        try:
+            return db.execute("SELECT count(*) FROM entries").fetchone()[0]
+        finally:
+            db.close()
+    except (sqlite3.Error, OSError) as exc:
+        _raise_if_held(exc, path)
+        raise GatewayError(f"cannot read cache store {path}: {exc}") from None
+
+
 def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
-    """Return (entry_count, total_bytes) for the cache directory; (0, 0) if it is absent."""
+    """(rows, bytes of the store and its journal) under the run lock; (0, 0) if absent."""
     cache_dir = _existing_cache_dir(cache_dir)
     if cache_dir is None:
         return 0, 0
-    entries = [p for p in _cache_files(cache_dir) if p.suffix == ".json"]
-    return len(entries), sum(p.stat().st_size for p in entries)
+    with run_lock(cache_dir):
+        rows = _store_rows(cache_dir)
+        store = (cache_dir / STORE_NAME, cache_dir / f"{STORE_NAME}-journal")
+        return rows, sum(p.stat().st_size for p in store if p.is_file())
 
 
 def clear_cache(cache_dir: Path | str) -> int:
-    """Remove every cache entry under the run lock; refused while a run holds it.
+    """Remove the store and every legacy entry under the run lock; refused while a run holds it.
 
-    Scratch files a killed write left behind go too; only entries are counted.
+    Returns the rows and legacy entries removed. The journal, a damaged store
+    moved aside and scratch files a killed legacy write left behind go too.
     Other files are kept. An absent directory has nothing to remove.
     """
     cache_dir = _existing_cache_dir(cache_dir)
     if cache_dir is None:
         return 0
-    removed = 0
     with run_lock(cache_dir):
+        removed = _store_rows(cache_dir)
         for path in _cache_files(cache_dir):
             try:
                 path.unlink()

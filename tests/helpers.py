@@ -8,11 +8,12 @@ once ``perfbench/tests`` is collected in the same run.
 from __future__ import annotations
 
 import os
+import sqlite3
 import threading
 from pathlib import Path
 
 import causaltext
-from causaltext.gateway import ExchangeSource
+from causaltext.gateway import STORE_NAME, ExchangeSource
 from causaltext.graph import ArcFlag, CausalGraph, flag_transitive_candidates
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -27,6 +28,43 @@ def child_env(**extra: str) -> dict[str, str]:
     package_root = str(Path(causaltext.__file__).resolve().parents[1])
     search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": search_path, **extra}
+
+
+def store_rows(cache_dir) -> dict[str, tuple]:
+    """Every row of ``cache_dir``'s cache store, key -> (reply, latency, checksum).
+
+    An absent store has none. Opening the store rolls back a write a killed
+    process left unfinished, as the next run's gateway would.
+    """
+    path = Path(cache_dir) / STORE_NAME
+    if not path.exists():
+        return {}
+    db = sqlite3.connect(path)
+    try:
+        return {key: tuple(rest) for key, *rest in db.execute("SELECT * FROM entries")}
+    finally:
+        db.close()
+
+
+def store_execute(cache_dir, sql: str, *params) -> None:
+    """Run one statement, or a script when no ``params`` are given, on the cache store."""
+    db = sqlite3.connect(Path(cache_dir) / STORE_NAME, isolation_level=None)
+    try:
+        if params:
+            db.execute(sql, params)
+        else:
+            db.executescript(sql)
+    finally:
+        db.close()
+
+
+def integrity(cache_dir) -> str:
+    """SQLite's ``PRAGMA integrity_check`` verdict on the cache store: ``ok`` when sound."""
+    db = sqlite3.connect(Path(cache_dir) / STORE_NAME)
+    try:
+        return "\n".join(row[0] for row in db.execute("PRAGMA integrity_check"))
+    finally:
+        db.close()
 
 
 def transitive_flagged(graph: CausalGraph) -> CausalGraph:

@@ -30,7 +30,7 @@ from causaltext.graph import (
 )
 from causaltext.pipeline import PipelineConfig
 from causaltext.prompts import OrientationQuestion, render_entity_prompt, render_orientation_prompt
-from helpers import child_env, transitive_flagged
+from helpers import child_env, store_execute, store_rows, transitive_flagged
 from synth import benchmark_with_scripted_replies, pipeline_document
 
 
@@ -480,24 +480,35 @@ def test_undecodable_cache_entry_is_refetched_and_the_batch_completes(tmp_path, 
         )
 
     assert extract("warm").exit_code == 0
-    entry = sorted((tmp_path / "cache").glob("*.json"))[0]
-    entry.write_bytes(b"\xff\xfe\x00garbage")
+    rows = store_rows(tmp_path / "cache")
+    key = sorted(rows)[0]
+    store_execute(tmp_path / "cache",
+                  "UPDATE entries SET reply = CAST(x'fffe00' AS TEXT) WHERE key = ?", key)
     result = extract("out")
     assert result.exit_code == 0, result.output
     for name in ("doc0", "doc1"):
         for suffix in OUTPUT_SUFFIXES:
             written = (tmp_path / "out" / f"{name}{suffix}").read_bytes()
             assert written == (tmp_path / "warm" / f"{name}{suffix}").read_bytes()
-    assert json.loads(entry.read_text(encoding="utf-8"))["reply_text"]
+    assert store_rows(tmp_path / "cache") == rows
 
 
-def _with_latency_too_large_for_a_float(entry_text: str) -> str:
-    return json.dumps({**json.loads(entry_text), "latency": 10**400})
+def _with_latency_too_large_for_a_float(cache_dir: Path) -> None:
+    store_execute(cache_dir, "UPDATE entries SET latency = 9e999")  # SQLite reads it as inf
+
+
+def _as_legacy_entries_nested_too_deeply(cache_dir: Path) -> None:
+    """Each row becomes a legacy entry file too deeply nested to decode, and the store goes."""
+    keys = store_rows(cache_dir)
+    for path in cache_dir.glob("cache.sqlite*"):
+        path.unlink()
+    for key in keys:
+        (cache_dir / _entry_name(key)).write_text(_DEEPLY_NESTED, encoding="utf-8")
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_with_latency_too_large_for_a_float, lambda entry_text: _DEEPLY_NESTED],
+    [_with_latency_too_large_for_a_float, _as_legacy_entries_nested_too_deeply],
     ids=["latency too large for a float", "nested too deeply"],
 )
 def test_a_cache_entry_out_of_range_or_nested_too_deeply_is_refetched(
@@ -518,17 +529,18 @@ def test_a_cache_entry_out_of_range_or_nested_too_deeply_is_refetched(
         )
 
     assert extract("warm").exit_code == 0
-    for entry in sorted((tmp_path / "cache").glob("*.json")):
-        entry.write_text(corrupt(entry.read_text(encoding="utf-8")), encoding="utf-8")
+    rows = store_rows(tmp_path / "cache")
+    corrupt(tmp_path / "cache")
     with caplog.at_level("WARNING"):
         result = extract("out")
     assert result.exit_code == 0, result.output
-    assert any("corrupt; treating as miss" in r.message for r in caplog.records)
+    assert any("corrupt" in r.message and "treating as miss" in r.message
+               for r in caplog.records)
     for suffix in OUTPUT_SUFFIXES:
         written = (tmp_path / "out" / f"doc0{suffix}").read_bytes()
         assert written == (tmp_path / "warm" / f"doc0{suffix}").read_bytes()
-    for entry in (tmp_path / "cache").glob("*.json"):
-        assert json.loads(entry.read_text(encoding="utf-8"))["latency"] == 0.0
+    assert store_rows(tmp_path / "cache") == rows
+    assert all(latency == 0.0 for _, latency, _ in rows.values())
 
 
 def test_failed_cache_write_leaves_the_batch_running(tmp_path, runner):
@@ -552,18 +564,22 @@ def test_failed_cache_write_leaves_the_batch_running(tmp_path, runner):
         )
 
     assert extract("reference", "reference_cache").exit_code == 0
-    names = sorted(p.name for p in (tmp_path / "reference_cache").glob("*.json"))
-    # a directory where one entry's scratch file goes makes that write fail
-    blocked = f"{names[0]}.tmp"
-    (tmp_path / "cache" / blocked).mkdir(parents=True)
+    keys = sorted(store_rows(tmp_path / "reference_cache"))
+    # a trigger on a store made beforehand makes the write of one key fail
+    (tmp_path / "cache").mkdir()
+    store_execute(tmp_path / "cache", f"""
+        CREATE TABLE entries(key TEXT PRIMARY KEY, reply TEXT NOT NULL, latency REAL NOT NULL,
+                             checksum TEXT NOT NULL) WITHOUT ROWID;
+        CREATE TRIGGER refuse BEFORE INSERT ON entries WHEN NEW.key = '{keys[0]}'
+        BEGIN SELECT RAISE(ABORT, 'refused'); END;
+    """)
     result = extract("out", "cache")
     assert result.exit_code == 0, result.output
     for name in ("doc0", "doc1"):
         for suffix in OUTPUT_SUFFIXES:
             written = (tmp_path / "out" / f"{name}{suffix}").read_bytes()
             assert written == (tmp_path / "reference" / f"{name}{suffix}").read_bytes()
-    cached = sorted(p.name for p in (tmp_path / "cache").glob("*.json"))
-    assert cached == names[1:]
+    assert sorted(store_rows(tmp_path / "cache")) == keys[1:]
 
 
 _WRITE_UNDER_A_FILE_SIZE_LIMIT = textwrap.dedent("""
@@ -668,13 +684,13 @@ def test_cache_dir_that_is_a_file_is_an_error_line(tmp_path, runner):
     assert cache_file.read_text(encoding="utf-8") == "not a directory"
 
 
-def test_unreadable_cache_entry_does_not_stop_the_run(tmp_path, runner):
+def test_unreadable_cache_store_does_not_stop_the_run(tmp_path, runner):
     extract_args, _ = _lock_test_inputs(tmp_path)
     first = runner.invoke(main, extract_args, env=_env(tmp_path), catch_exceptions=False)
     assert first.exit_code == 0, first.output
-    entry = sorted((tmp_path / "cache").glob("*.json"))[0]
-    entry.unlink()
-    entry.mkdir()  # an entry that exists but cannot be read
+    store = tmp_path / "cache" / "cache.sqlite"
+    store.unlink()
+    store.mkdir()  # a store that exists but cannot be opened
     again = [*extract_args[:-3], "--out", str(tmp_path / "again"), extract_args[-1]]
     result = runner.invoke(main, again, env=_env(tmp_path), catch_exceptions=False)
     assert result.exit_code == 0, result.output
@@ -1022,21 +1038,22 @@ def test_eval_graph_refuses_a_label_that_is_not_utf8_text(tmp_path, runner):
 
 
 def test_cache_stats_and_clear_cycle(tmp_path, runner):
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    entry = _entry_name("some key")
-    (cache_dir / entry).write_text("{}", encoding="utf-8")
-    # the scratch file of a write killed before its rename
-    (cache_dir / f"{_entry_name('other key')}.tmp").write_text("{", encoding="utf-8")
+    extract_args, _ = _lock_test_inputs(tmp_path)
     env = _env(tmp_path)
+    assert runner.invoke(main, extract_args, env=env, catch_exceptions=False).exit_code == 0
+    cache_dir = tmp_path / "cache"
+    rows = len(store_rows(cache_dir))
+    # a legacy entry, and the scratch file of a legacy write killed before its rename
+    (cache_dir / _entry_name("some key")).write_text("{}", encoding="utf-8")
+    (cache_dir / f"{_entry_name('other key')}.tmp").write_text("{", encoding="utf-8")
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
     assert result.exit_code == 0
-    assert "entries: 1" in result.output
+    assert f"entries: {rows}\n" in result.output
 
     result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
     assert result.exit_code == 0
-    assert "removed: 1" in result.output
+    assert f"removed: {rows + 1}" in result.output
     assert [path.name for path in cache_dir.iterdir()] == [".runlock"]
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
@@ -1049,16 +1066,25 @@ def test_cache_commands_count_and_remove_only_cache_entries(tmp_path, runner, mo
             f"{_entry_name('key')[:-5]}.JSON", f"x{_entry_name('key')}"]
     for name in kept:
         (tmp_path / name).write_text("{}", encoding="utf-8")
+    kept += ["cache.sqlite.bak", "xcache.sqlite", "cache.sqlite-wal.txt"]
+    for name in kept[-3:]:
+        (tmp_path / name).write_text("{}", encoding="utf-8")
     entry = tmp_path / _entry_name("key")
     entry.write_text('{"a": 1}', encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     env = {"CAUSALTEXT_CACHE_DIR": "."}
+    store_execute(tmp_path, """
+        CREATE TABLE entries(key TEXT PRIMARY KEY, reply TEXT NOT NULL, latency REAL NOT NULL,
+                             checksum TEXT NOT NULL) WITHOUT ROWID;
+        INSERT INTO entries VALUES ('k1', 'one', 0.0, ''), ('k2', 'two', 0.0, '');
+    """)
+    store = tmp_path / "cache.sqlite"
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
-    assert result.output == f"entries: 1\nbytes: {entry.stat().st_size}\n"
+    assert result.output == f"entries: 2\nbytes: {store.stat().st_size}\n"
     result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
-    assert (result.exit_code, result.output) == (0, "removed: 1\n")
-    assert not entry.exists()
+    assert (result.exit_code, result.output) == (0, "removed: 3\n")
+    assert not entry.exists() and not store.exists()
     assert all((tmp_path / name).exists() for name in kept)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -36,13 +37,20 @@ from causaltext.gateway import (
     ReplayTransport,
     TokenBucket,
     _cache_key,
-    _cache_path,
+    _entry_name,
     cache_stats,
     clear_cache,
     run_lock,
 )
 from causaltext.prompts import RenderedPrompt
-from helpers import CountingTransport, ScriptedTransport, child_env
+from helpers import (
+    CountingTransport,
+    ScriptedTransport,
+    child_env,
+    integrity,
+    store_execute,
+    store_rows,
+)
 
 GOOD_PAYLOAD = {"choices": [{"message": {"content": "fine.\n<Answer>A</Answer>"}}]}
 
@@ -158,15 +166,14 @@ def test_json_chunks_join_to_the_indented_encoding():
     assert joined == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def test_a_cache_entry_is_the_indented_encoding_of_its_record_without_a_newline(tmp_path):
-    reply = 'a "quoted" reply\\ with é, α, a tab\t and\nlines'
+def test_a_cache_row_holds_the_reply_text_verbatim(tmp_path):
+    reply = 'a "quoted" reply\\ with é, α, a tab\t, a NUL \x00 and\nlines'
     gateway, _ = _cached_gateway(tmp_path, [reply])
     prompt = prompt_for("q")
-    gateway.cached_complete(prompt)
-    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
-    record = json.loads(path.read_bytes())
-    assert record["reply_text"] == reply
-    assert path.read_bytes() == json.dumps(record, indent=2, ensure_ascii=False).encode("utf-8")
+    with gateway:
+        gateway.cached_complete(prompt)
+    [(stored, _, _)] = store_rows(gateway.config.cache_dir).values()
+    assert stored == reply
 
 
 def test_fixture_add_empty_and_conflicting():
@@ -190,9 +197,9 @@ def test_gateway_records_transport_replies_and_cache_hits(provider_config):
         prompt_for("q2").fingerprint: ReplayEntry("second"),
     })
     record = ReplayFixture()
-    cold = Gateway(provider_config, ReplayTransport(source), record)
-    cold.cached_complete(prompt_for("q1"))
-    cold.cached_complete(prompt_for("q2"))
+    with Gateway(provider_config, ReplayTransport(source), record) as cold:
+        cold.cached_complete(prompt_for("q1"))
+        cold.cached_complete(prompt_for("q2"))
     assert record.entries == source.entries
 
     # a warm gateway over the same cache records without any transport call:
@@ -382,7 +389,9 @@ def test_cached_complete_memoizes(tmp_path):
 
 @pytest.mark.parametrize("replay", [False, True], ids=["live", "replay"])
 @pytest.mark.parametrize("form", ["str", "path", "relative", "trailing-slash"])
-def test_a_hit_reads_exactly_the_cache_path_of_the_cache_key(tmp_path, monkeypatch, form, replay):
+def test_a_hit_reads_the_row_of_the_cache_key_in_the_store_under_cache_dir(
+    tmp_path, monkeypatch, form, replay
+):
     monkeypatch.chdir(tmp_path)
     cache_dir = {
         "str": str(tmp_path / "cache"),
@@ -396,33 +405,27 @@ def test_a_hit_reads_exactly_the_cache_path_of_the_cache_key(tmp_path, monkeypat
         transport = ReplayTransport(ReplayFixture({prompt.fingerprint: ReplayEntry("the reply")}))
     else:
         transport = ScriptedTransport(["the reply"])
-    gateway = Gateway(config, transport)
-    gateway.cached_complete(prompt)
+    with Gateway(config, transport) as gateway:
+        gateway.cached_complete(prompt)
     key = ("replay|" if replay else "") + _cache_key(config, prompt)
-    expected = _cache_path(cache_dir, key)
-    assert json.loads(Path(expected).read_text(encoding="utf-8"))["key"] == key
-
-    opened = []
-    real_open = os.open
-
-    def spy(path, *args, **kwargs):
-        opened.append(path)
-        return real_open(path, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", spy)
-    exchange = gateway.cached_complete(prompt)
-    assert (exchange.source, exchange.reply_text) == (ExchangeSource.CACHE, "the reply")
-    assert opened == [expected]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        "cache.sqlite", "cache.sqlite-journal"]
+    assert list(store_rows(tmp_path / "cache")) == [key]
+    # a hit answers from the row alone: the transport has no reply left to send
+    store_execute(tmp_path / "cache", "UPDATE entries SET latency = 2.5")
+    with gateway:
+        exchange = gateway.cached_complete(prompt)
+    assert (exchange.source, exchange.reply_text, exchange.latency) == (
+        ExchangeSource.CACHE, "the reply", 2.5)
 
 
-def test_a_reply_larger_than_one_read_chunk_survives_a_write_and_a_hit(tmp_path):
-    # quotes, newlines and two-byte characters, so the entry escapes and chunks split them
+def test_a_reply_larger_than_a_megabyte_survives_a_write_and_a_hit(tmp_path):
+    # quotes, newlines and two-byte characters over many of the store's pages
     reply = 'a "b"\né' * (1 << 18)
     gateway, transport = _cached_gateway(tmp_path, [reply])
     prompt = prompt_for("q")
     assert gateway.cached_complete(prompt).reply_text == reply
-    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
-    assert path.stat().st_size > 1 << 20 > gateway_module._READ_CHUNK
+    assert (tmp_path / "cache" / "cache.sqlite").stat().st_size > 1 << 20
     exchange = gateway.cached_complete(prompt)
     assert (exchange.source, exchange.reply_text) == (ExchangeSource.CACHE, reply)
     assert transport.calls == 1
@@ -431,25 +434,27 @@ def test_a_reply_larger_than_one_read_chunk_survives_a_write_and_a_hit(tmp_path)
 def test_cache_key_discriminates_model_and_temperature(tmp_path):
     prompt = prompt_for("q")
     gateway_a, transport_a = _cached_gateway(tmp_path, ["from a"], model_name="model-a")
-    gateway_a.cached_complete(prompt)
+    with gateway_a:
+        gateway_a.cached_complete(prompt)
     gateway_b, transport_b = _cached_gateway(tmp_path, ["from b"], model_name="model-b")
-    assert gateway_b.cached_complete(prompt).reply_text == "from b"
-    entry_b = Path(_cache_path(gateway_b.config.cache_dir, _cache_key(gateway_b.config, prompt)))
-    entry_key = json.loads(entry_b.read_text(encoding="utf-8"))["key"]
-    assert entry_key == f"{prompt.fingerprint}|model-b|0.0"
+    with gateway_b:
+        assert gateway_b.cached_complete(prompt).reply_text == "from b"
+    assert f"{prompt.fingerprint}|model-b|0.0" in store_rows(tmp_path / "cache")
     gateway_c, transport_c = _cached_gateway(
         tmp_path, ["from c"], model_name="model-a", temperature=1.0
     )
-    assert gateway_c.cached_complete(prompt).reply_text == "from c"
+    with gateway_c:
+        assert gateway_c.cached_complete(prompt).reply_text == "from c"
     assert transport_a.calls == transport_b.calls == transport_c.calls == 1
-    assert gateway_a.cached_complete(prompt).reply_text == "from a"
+    with gateway_a:
+        assert gateway_a.cached_complete(prompt).reply_text == "from a"
     assert transport_a.calls == 1
 
     # a replayed reply is cached apart and never answers a live run
     other = prompt_for("other")
     fixture = ReplayFixture(entries={other.fingerprint: ReplayEntry("from replay")})
-    replay = Gateway(gateway_a.config, ReplayTransport(fixture))
-    assert replay.cached_complete(other).reply_text == "from replay"
+    with Gateway(gateway_a.config, ReplayTransport(fixture)) as replay:
+        assert replay.cached_complete(other).reply_text == "from replay"
     live, live_transport = _cached_gateway(tmp_path, ["from live"], model_name="model-a")
     assert live.cached_complete(other).reply_text == "from live"
     assert live_transport.calls == 1
@@ -470,126 +475,218 @@ def test_cache_random_repetition_counting_oracle(tmp_path):
     assert transport.calls == len({p.fingerprint for p in drawn})
 
 
-def test_cache_corrupt_entry_treated_as_miss(tmp_path, caplog):
-    gateway, transport = _cached_gateway(tmp_path, ["one", "two", "three"])
-    prompt = prompt_for("q")
-    gateway.cached_complete(prompt)
-    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
-    path.write_text("{ truncated", encoding="utf-8")
-    with caplog.at_level("WARNING"):
-        exchange = gateway.cached_complete(prompt)
-    assert exchange.reply_text == "two"
-    assert transport.calls == 2
-    assert any("corrupt" in record.message for record in caplog.records)
-    assert gateway.cached_complete(prompt).source is ExchangeSource.CACHE
+def _loosen(cache_dir) -> None:
+    """Drop the table's NOT NULL rules, as a store another program wrote might lack them."""
+    store_execute(cache_dir, """
+        CREATE TABLE loose(key TEXT PRIMARY KEY, reply, latency, checksum) WITHOUT ROWID;
+        INSERT INTO loose SELECT * FROM entries;
+        DROP TABLE entries;
+        ALTER TABLE loose RENAME TO entries;
+    """)
 
-    # the right key with a reply that is no string: a miss, not an AttributeError
-    record = json.loads(path.read_text(encoding="utf-8"))
-    record["reply_text"] = None
-    path.write_text(json.dumps(record), encoding="utf-8")
+
+def _corrupt_then_ask(gateway, prompt, caplog, cache_dir, sql, *params):
+    """Apply ``sql`` to the closed gateway's store, then ask ``prompt`` once more."""
+    gateway.close()
+    store_execute(cache_dir, sql, *params)
     caplog.clear()
     with caplog.at_level("WARNING"):
         exchange = gateway.cached_complete(prompt)
-    assert exchange.reply_text == "three"
-    assert transport.calls == 3
-    assert any("corrupt" in record.message for record in caplog.records)
+    assert any("corrupt" in r.message and "treating as miss" in r.message
+               for r in caplog.records), caplog.records
+    return exchange
 
 
-def test_cache_entry_that_cannot_be_read_is_a_miss(tmp_path, caplog):
+def test_cache_corrupt_entry_treated_as_miss(tmp_path, caplog):
     gateway, transport = _cached_gateway(tmp_path, ["one", "two", "three"])
     prompt = prompt_for("q")
-    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
-    path.mkdir(parents=True)  # the entry exists, but open() cannot read it
+    cache_dir = tmp_path / "cache"
+    gateway.cached_complete(prompt)
+    # a reply stored as bytes, not text
+    exchange = _corrupt_then_ask(gateway, prompt, caplog, cache_dir,
+                                 "UPDATE entries SET reply = CAST(reply AS BLOB)")
+    assert exchange.reply_text == "two"
+    assert transport.calls == 2
+    assert gateway.cached_complete(prompt).source is ExchangeSource.CACHE
+
+    # the right key with a reply that is no string: a miss, not an AttributeError
+    exchange = _corrupt_then_ask(gateway, prompt, caplog, cache_dir,
+                                 "UPDATE entries SET reply = 7")
+    assert exchange.reply_text == "three"
+    assert transport.calls == 3
+    gateway.close()
+    assert [reply for reply, _, _ in store_rows(cache_dir).values()] == ["three"]
+
+
+def test_cache_store_that_cannot_be_opened_is_a_miss(tmp_path, caplog):
+    gateway, transport = _cached_gateway(tmp_path, ["one", "two", "three"])
+    prompt = prompt_for("q")
+    store = tmp_path / "cache" / "cache.sqlite"
+    store.mkdir(parents=True)  # the store exists, but SQLite cannot open it
     with caplog.at_level("WARNING"):
         exchange = gateway.cached_complete(prompt)
         again = gateway.cached_complete(prompt)
     messages = [record.message for record in caplog.records]
-    assert any("unreadable (" in m and "treating as miss" in m for m in messages), messages
+    assert any("unreadable" in m and "treating as miss" in m for m in messages), messages
     assert any("not written" in m for m in messages), messages
-    # the reply is still used; the entry could not be replaced, so the next call asks again
+    # the reply is still used; the row could not be written, so the next call asks again
     assert (exchange.reply_text, again.reply_text) == ("one", "two")
     assert exchange.source is again.source is ExchangeSource.LIVE
     assert transport.calls == 2
-    assert path.is_dir()
+    assert store.is_dir()
 
 
 def test_cache_entry_that_is_not_utf8_is_refetched_and_rewritten(tmp_path, caplog):
     gateway, transport = _cached_gateway(tmp_path, ["one", "two"])
     prompt = prompt_for("q")
     gateway.cached_complete(prompt)
-    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
-    path.write_bytes(b"\xff\xfe\x00garbage")
-    with caplog.at_level("WARNING"):
-        exchange = gateway.cached_complete(prompt)
+    exchange = _corrupt_then_ask(gateway, prompt, caplog, tmp_path / "cache",
+                                 "UPDATE entries SET reply = CAST(x'fffe00' AS TEXT)")
     assert exchange.reply_text == "two"
     assert transport.calls == 2
-    assert any("corrupt" in record.message for record in caplog.records)
-    assert json.loads(path.read_text(encoding="utf-8"))["reply_text"] == "two"
     assert gateway.cached_complete(prompt).source is ExchangeSource.CACHE
     assert transport.calls == 2
+    gateway.close()
+    assert [reply for reply, _, _ in store_rows(tmp_path / "cache").values()] == ["two"]
 
 
-def test_cache_checksum_mismatch_treated_as_miss(tmp_path):
+def test_cache_checksum_mismatch_treated_as_miss(tmp_path, caplog):
     gateway, transport = _cached_gateway(tmp_path, ["one", "two"])
     prompt = prompt_for("q")
     gateway.cached_complete(prompt)
-    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
-    record = json.loads(path.read_text(encoding="utf-8"))
-    record["reply_text"] = "tampered"
-    path.write_text(json.dumps(record), encoding="utf-8")
-    assert gateway.cached_complete(prompt).reply_text == "two"
+    exchange = _corrupt_then_ask(gateway, prompt, caplog, tmp_path / "cache",
+                                 "UPDATE entries SET reply = 'tampered'")
+    assert exchange.reply_text == "two"
     assert transport.calls == 2
 
 
-@pytest.mark.parametrize("latency", [-1, float("nan"), float("inf"), "1.5", True, None])
+@pytest.mark.parametrize(
+    "latency", [-1, float("nan"), float("inf"), 1e9 + 1, "1.5", None],
+    ids=["negative", "NaN (stored as NULL)", "inf", "above the ceiling", "text", "NULL"],
+)
 def test_cache_entry_with_bad_latency_treated_as_miss(tmp_path, caplog, latency):
     gateway, transport = _cached_gateway(tmp_path, ["one", "two"])
     prompt = prompt_for("q")
     gateway.cached_complete(prompt)
-    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
-    record = json.loads(path.read_text(encoding="utf-8"))
-    record["latency"] = latency
-    path.write_text(json.dumps(record), encoding="utf-8")
-    with caplog.at_level("WARNING"):
-        exchange = gateway.cached_complete(prompt)
+    gateway.close()
+    _loosen(tmp_path / "cache")
+    exchange = _corrupt_then_ask(gateway, prompt, caplog, tmp_path / "cache",
+                                 "UPDATE entries SET latency = ?", latency)
     assert (exchange.reply_text, exchange.latency) == ("two", 0.0)
     assert transport.calls == 2
-    assert any("corrupt" in record.message for record in caplog.records)
+    gateway.close()
+    assert list(store_rows(tmp_path / "cache").values()) == [
+        ("two", 0.0, hashlib.sha256(b"two").hexdigest())]
+
+
+def test_a_store_sqlite_cannot_read_is_moved_aside_and_refilled(tmp_path, caplog):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "cache.sqlite").write_bytes(b"not a database, " * 512)
+    (cache_dir / "cache.sqlite-journal").write_bytes(b"its journal")
+    gateway, transport = _cached_gateway(tmp_path, ["one"])
+    prompt = prompt_for("q")
+    with caplog.at_level("WARNING"):
+        assert gateway.cached_complete(prompt).reply_text == "one"
+    assert any("damaged" in r.message and "moved aside" in r.message for r in caplog.records)
+    assert gateway.cached_complete(prompt).source is ExchangeSource.CACHE
+    assert transport.calls == 1
+    gateway.close()
+    assert (cache_dir / "cache.sqlite.corrupt").read_bytes() == b"not a database, " * 512
+    assert [reply for reply, _, _ in store_rows(cache_dir).values()] == ["one"]
+    assert integrity(cache_dir) == "ok"
+
+
+def test_a_store_held_by_another_connection_is_refused_not_paid_for(tmp_path):
+    holder, _ = _cached_gateway(tmp_path, ["one"])
+    holder.cached_complete(prompt_for("q"))  # a write: the holder keeps the store locked
+    gateway, transport = _cached_gateway(tmp_path, ["never sent"])
+    for prompt in (prompt_for("q"), prompt_for("another")):
+        with pytest.raises(RunLockHeldError, match="cache.sqlite is in use"):
+            gateway.cached_complete(prompt)
+    assert transport.calls == 0
+    holder.close()
+    assert gateway.cached_complete(prompt_for("q")).source is ExchangeSource.CACHE
+    assert transport.calls == 0
 
 
 def test_a_new_cache_entry_holds_its_key_reply_latency_and_checksum(tmp_path):
     gateway, _ = _cached_gateway(tmp_path, ["one"])
     prompt = prompt_for("q")
-    gateway.cached_complete(prompt)
+    with gateway:
+        gateway.cached_complete(prompt)
     key = _cache_key(gateway.config, prompt)
-    path = Path(_cache_path(gateway.config.cache_dir, key))
-    assert path.name == hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json"
-    record = json.loads(path.read_text(encoding="utf-8"))
-    assert list(record) == ["key", "reply_text", "latency", "checksum"]
-    assert record == {"key": key, "reply_text": "one", "latency": 0.0,
-                      "checksum": hashlib.sha256(b"one").hexdigest()}
+    assert store_rows(tmp_path / "cache") == {
+        key: ("one", 0.0, hashlib.sha256(b"one").hexdigest())}
+    db = sqlite3.connect(tmp_path / "cache" / "cache.sqlite")
+    try:
+        [(schema,)] = db.execute("SELECT sql FROM sqlite_master WHERE type = 'table'")
+    finally:
+        db.close()
+    assert " ".join(schema.split()) == (
+        "CREATE TABLE entries( key TEXT PRIMARY KEY, reply TEXT NOT NULL, "
+        "latency REAL NOT NULL, checksum TEXT NOT NULL ) WITHOUT ROWID")
+
+
+def test_the_store_connection_keeps_its_journal_skips_fsync_and_holds_its_lock(tmp_path):
+    gateway, _ = _cached_gateway(tmp_path, ["one"])
+    with gateway:
+        gateway.cached_complete(prompt_for("q"))
+        settings = [gateway._db.execute(f"PRAGMA {name}").fetchone()[0]
+                    for name in ("journal_mode", "synchronous", "locking_mode")]
+    assert settings == ["persist", 0, "exclusive"]
+    assert gateway._db is None
+
+
+def _legacy_entry(gateway, prompt, reply: str, latency: float, **extra) -> Path:
+    """Write ``prompt``'s entry file as earlier versions did, one JSON file per entry."""
+    key = _cache_key(gateway.config, prompt)
+    path = Path(gateway.config.cache_dir) / _entry_name(key)
+    path.parent.mkdir(exist_ok=True)
+    record = {"key": key, **extra, "reply_text": reply, "latency": latency,
+              "checksum": hashlib.sha256(reply.encode("utf-8")).hexdigest()}
+    path.write_text(json.dumps(record, indent=2), encoding="utf-8")
+    return path
+
+
+def test_a_legacy_four_field_entry_is_imported_without_a_send(tmp_path):
+    gateway, transport = _cached_gateway(tmp_path, [])
+    prompt = prompt_for("q")
+    path = _legacy_entry(gateway, prompt, "old", 1.5)
+    exchange = gateway.cached_complete(prompt)
+    assert (exchange.source, exchange.reply_text, exchange.latency) == (
+        ExchangeSource.CACHE, "old", 1.5)
+    path.unlink()  # imported: the store answers from now on
+    assert gateway.cached_complete(prompt).reply_text == "old"
+    assert transport.calls == 0
+    gateway.close()
+    assert store_rows(tmp_path / "cache") == {
+        _cache_key(gateway.config, prompt): ("old", 1.5, hashlib.sha256(b"old").hexdigest())}
 
 
 def test_a_cache_entry_in_the_seven_field_layout_still_hits(tmp_path):
     gateway, transport = _cached_gateway(tmp_path, [])
     prompt = prompt_for("q")
-    key = _cache_key(gateway.config, prompt)
-    path = Path(_cache_path(gateway.config.cache_dir, key))
-    path.parent.mkdir()
     # older versions also stored the three parts of the key
-    path.write_text(json.dumps({
-        "key": key,
-        "fingerprint": prompt.fingerprint,
-        "model_name": gateway.config.model_name,
-        "temperature": gateway.config.temperature,
-        "reply_text": "old",
-        "latency": 2.5,
-        "checksum": hashlib.sha256(b"old").hexdigest(),
-    }, indent=2), encoding="utf-8")
+    _legacy_entry(gateway, prompt, "old", 2.5, fingerprint=prompt.fingerprint,
+                  model_name=gateway.config.model_name,
+                  temperature=gateway.config.temperature)
     exchange = gateway.cached_complete(prompt)
     assert (exchange.reply_text, exchange.latency) == ("old", 2.5)
     assert exchange.source is ExchangeSource.CACHE
     assert transport.calls == 0
+
+
+def test_a_corrupt_legacy_entry_is_a_logged_miss(tmp_path, caplog):
+    gateway, transport = _cached_gateway(tmp_path, ["new"])
+    prompt = prompt_for("q")
+    _legacy_entry(gateway, prompt, "old", 1.5).write_text("[" * 200_000, encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        assert gateway.cached_complete(prompt).reply_text == "new"
+    assert any("legacy cache entry" in r.message and "treating as miss" in r.message
+               for r in caplog.records)
+    assert transport.calls == 1
+    assert gateway.cached_complete(prompt).source is ExchangeSource.CACHE
 
 
 @pytest.mark.parametrize(
@@ -657,12 +754,20 @@ def test_cache_stats_and_clear(tmp_path):
     assert cache_stats(cache_dir) == (0, 0)
     assert clear_cache(cache_dir) == 0
     assert not cache_dir.exists()
-    gateway.cached_complete(prompt_for("q1"))
-    gateway.cached_complete(prompt_for("q2"))
+    with gateway:
+        gateway.cached_complete(prompt_for("q1"))
+        gateway.cached_complete(prompt_for("q2"))
+        with pytest.raises(RunLockHeldError, match="cache.sqlite is in use"):
+            cache_stats(cache_dir)  # the open gateway holds the store
     count, size = cache_stats(cache_dir)
     assert count == 2
-    assert size > 0
-    assert clear_cache(cache_dir) == 2
+    store_files = ("cache.sqlite", "cache.sqlite-journal")
+    assert size == sum((cache_dir / name).stat().st_size for name in store_files)
+    _legacy_entry(gateway, prompt_for("q3"), "three", 0.0)
+    (cache_dir / "cache.sqlite.corrupt").write_bytes(b"moved aside")
+    assert cache_stats(cache_dir) == (count, size)  # legacy entries are counted once imported
+    assert clear_cache(cache_dir) == 3
+    assert [p.name for p in cache_dir.iterdir()] == [".runlock"]
     assert cache_stats(cache_dir) == (0, 0)
 
 
@@ -752,34 +857,47 @@ def test_empty_reply_is_returned_but_never_cached(tmp_path):
     assert live.cached_complete(prompt).source is ExchangeSource.CACHE
 
 
+def _refusing_store(cache_dir, when: str) -> None:
+    """A store whose every insert fails: a trigger aborts it ``when`` (BEFORE or AFTER) it."""
+    Path(cache_dir).mkdir(parents=True)
+    store_execute(cache_dir, f"""
+        CREATE TABLE entries(key TEXT PRIMARY KEY, reply TEXT NOT NULL, latency REAL NOT NULL,
+                             checksum TEXT NOT NULL) WITHOUT ROWID;
+        CREATE TRIGGER refuse {when} INSERT ON entries BEGIN SELECT RAISE(ABORT, 'refused'); END;
+    """)
+
+
 def test_failed_cache_write_is_logged_and_the_exchange_still_served(tmp_path, caplog):
     config = ProviderConfig(cache_dir=tmp_path / "cache", requests_per_minute=1e9)
     prompt = prompt_for("a question whose cache entry cannot be written")
     record = ReplayFixture()
     transport = CountingTransport(ScriptedTransport(["the reply", "the reply"]))
     gateway = Gateway(config, transport, record)
-    path = _cache_path(config.cache_dir, _cache_key(config, prompt))
-    Path(f"{path}.tmp").mkdir(parents=True)  # the scratch file cannot be opened
+    _refusing_store(config.cache_dir, "BEFORE")
     with caplog.at_level("WARNING"):
         exchange = gateway.cached_complete(prompt)
     assert (exchange.source, exchange.reply_text) == (ExchangeSource.LIVE, "the reply")
-    assert any("not written" in r.message for r in caplog.records)
+    assert any("not written" in r.message and "refused" in r.message for r in caplog.records)
     assert record.entries[prompt.fingerprint].reply_text == "the reply"
-    assert cache_stats(config.cache_dir)[0] == 0
     # nothing was cached, so the next ask pays again
     assert gateway.cached_complete(prompt).source is ExchangeSource.LIVE
     assert transport.calls == 2
+    gateway.close()
+    assert cache_stats(config.cache_dir)[0] == 0
 
 
-def test_a_cache_write_that_fails_after_opening_its_scratch_file_leaves_none(tmp_path, caplog):
+def test_a_cache_write_that_fails_inside_its_transaction_leaves_no_trace(tmp_path, caplog):
     gateway, transport = _cached_gateway(tmp_path, ["one"])
-    prompt = prompt_for("a question whose entry path is a directory")
-    path = Path(_cache_path(gateway.config.cache_dir, _cache_key(gateway.config, prompt)))
-    path.mkdir(parents=True)  # the scratch file is written, but cannot be renamed over it
+    prompt = prompt_for("a question whose row is inserted, then rolled back")
+    _refusing_store(gateway.config.cache_dir, "AFTER")
     with caplog.at_level("WARNING"):
         assert gateway.cached_complete(prompt).reply_text == "one"
     assert any("not written" in r.message for r in caplog.records)
-    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+    gateway.close()
+    assert store_rows(gateway.config.cache_dir) == {}
+    assert integrity(gateway.config.cache_dir) == "ok"
+    assert sorted(p.name for p in gateway.config.cache_dir.iterdir()) == [
+        "cache.sqlite", "cache.sqlite-journal"]
 
 
 class _SlowTransport:
@@ -840,6 +958,7 @@ def test_key_lock_table_is_empty_once_each_miss_is_settled(tmp_path):
         sys.setswitchinterval(interval)
     assert transport.calls == 4
     assert gateway._key_locks == {}
+    gateway.close()
     # filled, empty and raised misses each leave no lock behind
     gateway, transport = _cached_gateway(
         tmp_path, ["filled", "", ProviderUnavailableError("down")]
@@ -850,3 +969,40 @@ def test_key_lock_table_is_empty_once_each_miss_is_settled(tmp_path):
         gateway.cached_complete(prompt_for("raised"))
     assert transport.calls == 3
     assert gateway._key_locks == {}
+
+
+def test_threads_sharing_the_store_connection_write_every_row_once(tmp_path):
+    prompts = [prompt_for(f"prompt {i}") for i in range(40)]
+    fixture = ReplayFixture({p.fingerprint: ReplayEntry(f"reply {i}", latency=i / 8)
+                             for i, p in enumerate(prompts)})
+    config = ProviderConfig(cache_dir=tmp_path / "cache", requests_per_minute=1e9)
+    transport = CountingTransport(ReplayTransport(fixture))
+    gateway = Gateway(config, transport)
+    barrier = threading.Barrier(8)
+    replies = [[] for _ in range(8)]
+
+    def ask(index):
+        order = random.Random(index).sample(prompts, len(prompts))
+        barrier.wait()
+        for prompt in order * 3:
+            replies[index].append((prompt.fingerprint, gateway.cached_complete(prompt).reply_text))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    gateway.close()
+    assert transport.calls == len(prompts)
+    expected = {p.fingerprint: fixture.entries[p.fingerprint].reply_text for p in prompts}
+    assert all(dict(answers) == expected and len(answers) == 120 for answers in replies)
+    rows = store_rows(config.cache_dir)
+    assert sorted((reply, latency) for reply, latency, _ in rows.values()) == sorted(
+        (entry.reply_text, entry.latency) for entry in fixture.entries.values())
+    assert integrity(config.cache_dir) == "ok"

@@ -89,6 +89,21 @@ def test_entity_surface_forms_always_contain_canonical_label():
     assert "other" in entity.surface_forms
 
 
+def test_entity_lookup_of_an_unknown_id_raises():
+    graph = CausalGraph(GraphKind.EXTRACTED, [Entity(id="a", canonical_label="a")])
+    assert graph.entity("a").canonical_label == "a"
+    with pytest.raises(UnknownEntityError, match="unknown entity 'b'"):
+        graph.entity("b")
+
+
+def test_a_surface_form_holding_a_lone_surrogate_is_refused():
+    # the JSON escape of a lone surrogate: valid JSON, but no UTF-8 text
+    payload = {"entities": [{"id": "a", "canonical_label": "a",
+                             "surface_forms": ["a", "b\ud800"]}], "arcs": []}
+    with pytest.raises(GraphFileError, match="'surface_forms' must hold valid UTF-8 text"):
+        parse_graph(json.dumps(payload))
+
+
 def test_arc_rejects_self_loops():
     with pytest.raises(SelfLoopError):
         Arc("a", "a")

@@ -678,7 +678,8 @@ def test_warm_run_memory_does_not_grow_with_pairs_times_text(tmp_path):
     """No prompt outlives its query: a 50 KB text at n=20 asks 190 of them."""
     source_text, fixture = pipeline_document(20, modulus=7, min_chars=50_000)
     config = ProviderConfig(cache_dir=tmp_path / "cache", requests_per_minute=1e9)
-    run_pipeline(source_text, "", PipelineConfig(), Gateway(config, ReplayTransport(fixture)))
+    with Gateway(config, ReplayTransport(fixture)) as cold:
+        run_pipeline(source_text, "", PipelineConfig(), cold)
     gateway = Gateway(config, CountingTransport(ReplayTransport(fixture)))
     tracemalloc.start()
     try:

@@ -434,6 +434,11 @@ def test_find_first_offset_is_case_insensitive_and_wrap_tolerant():
     assert find_first_offset(text, "missing") is None
 
 
+@pytest.mark.parametrize("form", ["", "  ", "\n\t"])
+def test_a_blank_surface_form_is_found_nowhere(form):
+    assert find_first_offset("Severe beta cell damage.", form) is None
+
+
 def test_entity_offset_takes_earliest_surface_form():
     text = "FT1D, also called fulminant type 1 diabetes, progresses fast."
     entity = Entity(
