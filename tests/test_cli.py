@@ -18,6 +18,7 @@ from causaltext.gateway import (
     ReplayEntry,
     ReplayFixture,
     _entry_name,
+    _STORE_SETUP,
     run_lock,
 )
 from causaltext.graph import (
@@ -567,9 +568,7 @@ def test_failed_cache_write_leaves_the_batch_running(tmp_path, runner):
     keys = sorted(store_rows(tmp_path / "reference_cache"))
     # a trigger on a store made beforehand makes the write of one key fail
     (tmp_path / "cache").mkdir()
-    store_execute(tmp_path / "cache", f"""
-        CREATE TABLE entries(key TEXT PRIMARY KEY, reply TEXT NOT NULL, latency REAL NOT NULL,
-                             checksum TEXT NOT NULL) WITHOUT ROWID;
+    store_execute(tmp_path / "cache", _STORE_SETUP + f"""
         CREATE TRIGGER refuse BEFORE INSERT ON entries WHEN NEW.key = '{keys[0]}'
         BEGIN SELECT RAISE(ABORT, 'refused'); END;
     """)
@@ -1073,18 +1072,17 @@ def test_cache_commands_count_and_remove_only_cache_entries(tmp_path, runner, mo
     entry.write_text('{"a": 1}', encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     env = {"CAUSALTEXT_CACHE_DIR": "."}
-    store_execute(tmp_path, """
-        CREATE TABLE entries(key TEXT PRIMARY KEY, reply TEXT NOT NULL, latency REAL NOT NULL,
-                             checksum TEXT NOT NULL) WITHOUT ROWID;
+    store_execute(tmp_path, _STORE_SETUP + """
         INSERT INTO entries VALUES ('k1', 'one', 0.0, ''), ('k2', 'two', 0.0, '');
     """)
-    store = tmp_path / "cache.sqlite"
+    store, journal = tmp_path / "cache.sqlite", tmp_path / "cache.sqlite-journal"
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
-    assert result.output == f"entries: 2\nbytes: {store.stat().st_size}\n"
+    size = store.stat().st_size + journal.stat().st_size
+    assert result.output == f"entries: 2\nbytes: {size}\n"
     result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
     assert (result.exit_code, result.output) == (0, "removed: 3\n")
-    assert not entry.exists() and not store.exists()
+    assert not entry.exists() and not store.exists() and not journal.exists()
     assert all((tmp_path / name).exists() for name in kept)
 
 
@@ -1191,6 +1189,17 @@ def _lock_test_inputs(tmp_path) -> tuple[list[str], list[str]]:
     semeval_path.write_text(semeval_text, encoding="utf-8")
     replay = ["--replay", str(fixture_path), "--out", str(tmp_path / "out")]
     return ["extract", *replay, str(doc)], ["eval-pairs", *replay, str(semeval_path)]
+
+
+def test_cold_and_warm_runs_leave_only_the_lock_and_the_store_in_the_cache_dir(
+    tmp_path, runner
+):
+    extract_args, eval_args = _lock_test_inputs(tmp_path)
+    for args in (extract_args, eval_args, extract_args, eval_args):
+        result = runner.invoke(main, args, env=_env(tmp_path), catch_exceptions=False)
+        assert result.exit_code == 0, (args[0], result.output)
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+            ".runlock", "cache.sqlite", "cache.sqlite-journal"]
 
 
 def test_lock_file_left_by_a_dead_run_blocks_nothing(tmp_path, runner):
