@@ -20,7 +20,6 @@ import logging
 import math
 import os
 import random
-import re
 import sqlite3
 import threading
 import time
@@ -352,16 +351,8 @@ def _cache_key(config: ProviderConfig, prompt: RenderedPrompt) -> str:
 
 
 def _checksum(text: str) -> str:
-    """SHA-256 hex of ``text``: it names cache entries and checks their replies."""
+    """SHA-256 hex of ``text``: it checks the replies of cache entries."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _entry_name(key: str) -> str:
-    """The file name of ``key``'s entry in the legacy one-file-per-entry layout."""
-    return _checksum(key) + ".json"
-
-
-_LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
 
 
 STORE_NAME = "cache.sqlite"
@@ -453,8 +444,6 @@ class Gateway:
         # the store connection, shared by every thread under _store_lock
         self._db: sqlite3.Connection | None = None
         self._store_lock = threading.Lock()
-        # whether cache_dir holds legacy entry files, looked at on the first miss
-        self._has_legacy: bool | None = None
         self._auth_error: AuthError | None = None
 
     @property
@@ -522,14 +511,13 @@ class Gateway:
         never answers a live run. A row that cannot be read, or is corrupt (a
         reply that is no text, a checksum mismatch or a bad latency), is
         logged and treated as a miss, and the refetched reply replaces it. A
-        miss in the store is looked up in the legacy entry files, and a valid
-        one is imported without a send. A store held by another connection
-        raises :class:`RunLockHeldError` rather than paying for a reply again.
-        Each write commits on its own, and writes are serialized per key, so
-        concurrent callers of the same prompt trigger at most one provider
-        call; a key's lock is dropped once no caller holds or awaits it. An
-        empty completion, or one whose cache write fails (logged), is
-        returned and recorded but not cached, so a later run asks again.
+        store held by another connection raises :class:`RunLockHeldError`
+        rather than paying for a reply again. Each write commits on its own,
+        and writes are serialized per key, so concurrent callers of the same
+        prompt trigger at most one provider call; a key's lock is dropped
+        once no caller holds or awaits it. An empty completion, or one whose
+        cache write fails (logged), is returned and recorded but not cached,
+        so a later run asks again.
         """
         key = self._key_prefix + prompt.fingerprint + self._key_suffix
         exchange = self._read_cache_entry(key, prompt)
@@ -537,7 +525,7 @@ class Gateway:
             with self._key_lock(key):
                 exchange = self._read_cache_entry(key, prompt)
                 if exchange is None:
-                    exchange = self._read_legacy_entry(key, prompt) or self.complete(prompt)
+                    exchange = self.complete(prompt)
                     if exchange.reply_text:
                         self._write_cache_entry(key, exchange)
         if self._record is not None:
@@ -584,30 +572,6 @@ class Gateway:
             _raise_if_held(exc, self._store_path)
             log.warning("cache entry %s in %s unreadable or corrupt (%s); treating as miss",
                         key, self._store_path, exc)
-            return None
-
-    def _read_legacy_entry(self, key: str, prompt: RenderedPrompt) -> ChatExchange | None:
-        """The valid entry file an earlier version wrote for ``key``, or None."""
-        if self._has_legacy is None:
-            with suppress(OSError):
-                self._has_legacy = any(map(_LEGACY_ENTRY.fullmatch, os.listdir(self._cache_dir)))
-        if not self._has_legacy:
-            return None
-        path = os.path.join(self._cache_dir, _entry_name(key))
-        try:
-            with open(path, "rb") as handle:
-                record = json.loads(handle.read().decode("utf-8"))
-            reply = record["reply_text"]
-            if not isinstance(reply, str):
-                raise ValueError("reply_text is not a string")
-            if record["key"] != key or record["checksum"] != _checksum(reply):
-                raise ValueError("checksum or key mismatch")
-            return ChatExchange(prompt, reply, record["latency"], ExchangeSource.CACHE)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-            log.warning("legacy cache entry %s unreadable or corrupt (%s); treating as miss",
-                        path, exc)
             return None
 
     def _write_cache_entry(self, key: str, exchange: ChatExchange) -> None:
@@ -660,15 +624,9 @@ def _existing_cache_dir(cache_dir: Path | str) -> Path | None:
     return None
 
 
-# the store, its journal and a damaged store moved aside; then legacy entries and
-# the scratch files of their writes
-_CACHE_FILE = re.compile(
-    rf"{re.escape(STORE_NAME)}(\.corrupt)?(-journal)?|{_LEGACY_ENTRY.pattern}(\.tmp)?")
-
-
-def _cache_files(cache_dir: Path) -> list[Path]:
-    """The regular files of the store and of legacy entries under ``cache_dir``."""
-    return [p for p in cache_dir.iterdir() if _CACHE_FILE.fullmatch(p.name) and p.is_file()]
+# the store and its journal, then a damaged store moved aside and its journal
+_CACHE_FILES = (STORE_NAME, f"{STORE_NAME}-journal",
+                f"{STORE_NAME}.corrupt", f"{STORE_NAME}.corrupt-journal")
 
 
 def _store_rows(cache_dir: Path) -> int:
@@ -694,26 +652,26 @@ def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
         return 0, 0
     with run_lock(cache_dir):
         rows = _store_rows(cache_dir)
-        store = (cache_dir / STORE_NAME, cache_dir / f"{STORE_NAME}-journal")
+        store = (cache_dir / name for name in _CACHE_FILES[:2])
         return rows, sum(p.stat().st_size for p in store if p.is_file())
 
 
 def clear_cache(cache_dir: Path | str) -> int:
-    """Remove the store and every legacy entry under the run lock; refused while a run holds it.
+    """Remove the store under the run lock; refused while a run holds it.
 
-    Returns the rows and legacy entries removed. The journal, a damaged store
-    moved aside and scratch files a killed legacy write left behind go too.
-    Other files are kept. An absent directory has nothing to remove.
+    Returns the rows removed. The journal and a damaged store moved aside go
+    too, each only if it is a regular file. Other files are kept. An absent
+    directory has nothing to remove.
     """
     cache_dir = _existing_cache_dir(cache_dir)
     if cache_dir is None:
         return 0
     with run_lock(cache_dir):
         removed = _store_rows(cache_dir)
-        for path in _cache_files(cache_dir):
-            try:
-                path.unlink()
-            except OSError as exc:
-                raise GatewayError(f"cannot remove {path}: {exc.strerror}") from exc
-            removed += path.suffix == ".json"
+        for path in (cache_dir / name for name in _CACHE_FILES):
+            if path.is_file():
+                try:
+                    path.unlink()
+                except OSError as exc:
+                    raise GatewayError(f"cannot remove {path}: {exc.strerror}") from exc
     return removed

@@ -7,6 +7,7 @@ once ``perfbench/tests`` is collected in the same run.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sqlite3
 import threading
@@ -28,6 +29,11 @@ def child_env(**extra: str) -> dict[str, str]:
     package_root = str(Path(causaltext.__file__).resolve().parents[1])
     search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": search_path, **extra}
+
+
+def old_entry_name(key: str) -> str:
+    """The name of ``key``'s file in the one-file-per-entry layout the store replaced."""
+    return hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json"
 
 
 def store_rows(cache_dir) -> dict[str, tuple]:

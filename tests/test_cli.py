@@ -17,7 +17,6 @@ from causaltext.gateway import (
     ProviderConfig,
     ReplayEntry,
     ReplayFixture,
-    _entry_name,
     _STORE_SETUP,
     run_lock,
 )
@@ -31,7 +30,7 @@ from causaltext.graph import (
 )
 from causaltext.pipeline import PipelineConfig
 from causaltext.prompts import OrientationQuestion, render_entity_prompt, render_orientation_prompt
-from helpers import child_env, store_execute, store_rows, transitive_flagged
+from helpers import child_env, old_entry_name, store_execute, store_rows, transitive_flagged
 from synth import benchmark_with_scripted_replies, pipeline_document
 
 
@@ -494,26 +493,8 @@ def test_undecodable_cache_entry_is_refetched_and_the_batch_completes(tmp_path, 
     assert store_rows(tmp_path / "cache") == rows
 
 
-def _with_latency_too_large_for_a_float(cache_dir: Path) -> None:
-    store_execute(cache_dir, "UPDATE entries SET latency = 9e999")  # SQLite reads it as inf
-
-
-def _as_legacy_entries_nested_too_deeply(cache_dir: Path) -> None:
-    """Each row becomes a legacy entry file too deeply nested to decode, and the store goes."""
-    keys = store_rows(cache_dir)
-    for path in cache_dir.glob("cache.sqlite*"):
-        path.unlink()
-    for key in keys:
-        (cache_dir / _entry_name(key)).write_text(_DEEPLY_NESTED, encoding="utf-8")
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [_with_latency_too_large_for_a_float, _as_legacy_entries_nested_too_deeply],
-    ids=["latency too large for a float", "nested too deeply"],
-)
-def test_a_cache_entry_out_of_range_or_nested_too_deeply_is_refetched(
-    tmp_path, runner, caplog, corrupt
+def test_a_cache_entry_with_a_latency_too_large_for_a_float_is_refetched(
+    tmp_path, runner, caplog
 ):
     source_text, fixture = pipeline_document(4)
     fixture_path = tmp_path / "fixture.json"
@@ -531,7 +512,7 @@ def test_a_cache_entry_out_of_range_or_nested_too_deeply_is_refetched(
 
     assert extract("warm").exit_code == 0
     rows = store_rows(tmp_path / "cache")
-    corrupt(tmp_path / "cache")
+    store_execute(tmp_path / "cache", "UPDATE entries SET latency = 9e999")  # read as inf
     with caplog.at_level("WARNING"):
         result = extract("out")
     assert result.exit_code == 0, result.output
@@ -1042,9 +1023,10 @@ def test_cache_stats_and_clear_cycle(tmp_path, runner):
     assert runner.invoke(main, extract_args, env=env, catch_exceptions=False).exit_code == 0
     cache_dir = tmp_path / "cache"
     rows = len(store_rows(cache_dir))
-    # a legacy entry, and the scratch file of a legacy write killed before its rename
-    (cache_dir / _entry_name("some key")).write_text("{}", encoding="utf-8")
-    (cache_dir / f"{_entry_name('other key')}.tmp").write_text("{", encoding="utf-8")
+    # an entry file of the layout before the store, and the scratch file of its write
+    old_entry = old_entry_name("some key")
+    (cache_dir / old_entry).write_text("{}", encoding="utf-8")
+    (cache_dir / f"{old_entry}.tmp").write_text("{", encoding="utf-8")
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
     assert result.exit_code == 0
@@ -1052,8 +1034,9 @@ def test_cache_stats_and_clear_cycle(tmp_path, runner):
 
     result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
     assert result.exit_code == 0
-    assert f"removed: {rows + 1}" in result.output
-    assert [path.name for path in cache_dir.iterdir()] == [".runlock"]
+    assert f"removed: {rows}" in result.output
+    assert sorted(path.name for path in cache_dir.iterdir()) == [
+        ".runlock", old_entry, f"{old_entry}.tmp"]
 
     result = runner.invoke(main, ["cache", "stats"], env=env, catch_exceptions=False)
     assert "entries: 0" in result.output
@@ -1062,14 +1045,13 @@ def test_cache_stats_and_clear_cycle(tmp_path, runner):
 def test_cache_commands_count_and_remove_only_cache_entries(tmp_path, runner, monkeypatch):
     # a cache directory shared with outputs and a fixture, as with CAUSALTEXT_CACHE_DIR=.
     kept = ["run.fixture.json", "doc.stats.json", "doc.graph.json", "notes.tmp",
-            f"{_entry_name('key')[:-5]}.JSON", f"x{_entry_name('key')}"]
+            old_entry_name("key"), f"{old_entry_name('key')}.tmp",
+            "cache.sqlite.bak", "xcache.sqlite", "cache.sqlite-wal.txt"]
     for name in kept:
         (tmp_path / name).write_text("{}", encoding="utf-8")
-    kept += ["cache.sqlite.bak", "xcache.sqlite", "cache.sqlite-wal.txt"]
-    for name in kept[-3:]:
-        (tmp_path / name).write_text("{}", encoding="utf-8")
-    entry = tmp_path / _entry_name("key")
-    entry.write_text('{"a": 1}', encoding="utf-8")
+    aside = [tmp_path / "cache.sqlite.corrupt", tmp_path / "cache.sqlite.corrupt-journal"]
+    for path in aside:
+        path.write_bytes(b"moved aside")
     monkeypatch.chdir(tmp_path)
     env = {"CAUSALTEXT_CACHE_DIR": "."}
     store_execute(tmp_path, _STORE_SETUP + """
@@ -1081,8 +1063,8 @@ def test_cache_commands_count_and_remove_only_cache_entries(tmp_path, runner, mo
     size = store.stat().st_size + journal.stat().st_size
     assert result.output == f"entries: 2\nbytes: {size}\n"
     result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
-    assert (result.exit_code, result.output) == (0, "removed: 3\n")
-    assert not entry.exists() and not store.exists() and not journal.exists()
+    assert (result.exit_code, result.output) == (0, "removed: 2\n")
+    assert not any(path.exists() for path in (store, journal, *aside))
     assert all((tmp_path / name).exists() for name in kept)
 
 
@@ -1091,19 +1073,23 @@ def test_cache_clear_keeps_directories_and_names_a_file_it_cannot_remove(
 ):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    entry = _entry_name("key")
-    # directories named like an entry and its scratch file, as a blocked write leaves
-    for name in ("abc.json", "def.json.tmp", entry, f"{_entry_name('other')}.tmp"):
+    aside = "cache.sqlite.corrupt"
+    # directories named like store files and like an old entry and its scratch file
+    for name in ("cache.sqlite-journal", aside, old_entry_name("key"),
+                 f"{old_entry_name('other')}.tmp"):
         (cache_dir / name).mkdir()
-    (cache_dir / _entry_name("third")).write_text("{}", encoding="utf-8")
+    for name in ("cache.sqlite.corrupt-journal", old_entry_name("third")):
+        (cache_dir / name).write_text("{}", encoding="utf-8")
     env = _env(tmp_path)
 
     result = runner.invoke(main, ["cache", "clear"], env=env, catch_exceptions=False)
-    assert (result.exit_code, result.output) == (0, "removed: 1\n")
+    assert (result.exit_code, result.output) == (0, "removed: 0\n")
     assert len([path for path in cache_dir.iterdir() if path.is_dir()]) == 4
+    assert not (cache_dir / "cache.sqlite.corrupt-journal").exists()
+    assert (cache_dir / old_entry_name("third")).is_file()
 
-    (cache_dir / entry).rmdir()
-    (cache_dir / entry).write_text("{}", encoding="utf-8")
+    (cache_dir / aside).rmdir()
+    (cache_dir / aside).write_bytes(b"moved aside")
 
     def refuse(path, *args, **kwargs):
         raise PermissionError(1, "Operation not permitted", path)
@@ -1112,7 +1098,7 @@ def test_cache_clear_keeps_directories_and_names_a_file_it_cannot_remove(
     result = runner.invoke(main, ["cache", "clear"], env=env)
     assert result.exit_code == 1
     assert result.output == (
-        f"error: cannot remove {cache_dir / entry}: Operation not permitted\n"
+        f"error: cannot remove {cache_dir / aside}: Operation not permitted\n"
     )
 
 

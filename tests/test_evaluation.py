@@ -150,6 +150,11 @@ def test_record_validation():
             e1_start=0, e2_start=8, relation_label="Cause-Effect(e1,e2)",
             causal_orientation=None,
         )
+    with pytest.raises(ValueError, match="entity spans must be non-empty"):
+        SemEvalRecord(
+            record_id=1, sentence="a beats b", e1_span="", e2_span="b",
+            e1_start=0, e2_start=8, relation_label="Other", causal_orientation=None,
+        )
 
 
 # --- metric computation --------------------------------------------------------
@@ -192,6 +197,17 @@ def test_compute_report_perfect_and_degenerate_grids():
 def test_compute_report_rejects_empty_grid():
     with pytest.raises(EmptyEvaluationSetError):
         compute_report(ConfusionMatrix(grid=((0, 0), (0, 0)), abstained=3))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{"grid": ((1, -1), (0, 1))}, {"grid": ((1, 0), (0, 1)), "abstained": -1},
+     {"grid": ((1, 0), (0, 1)), "unparsable": -1}],
+    ids=["grid", "abstained", "unparsable"],
+)
+def test_a_negative_confusion_count_is_refused(counts):
+    with pytest.raises(ValueError, match="confusion counts must be non-negative"):
+        ConfusionMatrix(**counts)
 
 
 def test_report_metrics_recoverable_from_serialized_grid():

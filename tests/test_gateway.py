@@ -37,7 +37,6 @@ from causaltext.gateway import (
     ReplayTransport,
     TokenBucket,
     _cache_key,
-    _entry_name,
     cache_stats,
     clear_cache,
     run_lock,
@@ -48,6 +47,7 @@ from helpers import (
     ScriptedTransport,
     child_env,
     integrity,
+    old_entry_name,
     store_execute,
     store_rows,
 )
@@ -636,55 +636,30 @@ def test_the_store_connection_keeps_its_journal_skips_fsync_and_holds_its_lock(t
     assert gateway._db is None
 
 
-def _legacy_entry(gateway, prompt, reply: str, latency: float, **extra) -> Path:
-    """Write ``prompt``'s entry file as earlier versions did, one JSON file per entry."""
+def _old_entry_file(gateway, prompt, reply: str) -> Path:
+    """Write ``prompt``'s entry as a file of the one-file-per-entry layout the store replaced."""
     key = _cache_key(gateway.config, prompt)
-    path = Path(gateway.config.cache_dir) / _entry_name(key)
+    path = Path(gateway.config.cache_dir) / old_entry_name(key)
     path.parent.mkdir(exist_ok=True)
-    record = {"key": key, **extra, "reply_text": reply, "latency": latency,
+    record = {"key": key, "reply_text": reply, "latency": 1.5,
               "checksum": hashlib.sha256(reply.encode("utf-8")).hexdigest()}
     path.write_text(json.dumps(record, indent=2), encoding="utf-8")
     return path
 
 
-def test_a_legacy_four_field_entry_is_imported_without_a_send(tmp_path):
-    gateway, transport = _cached_gateway(tmp_path, [])
-    prompt = prompt_for("q")
-    path = _legacy_entry(gateway, prompt, "old", 1.5)
-    exchange = gateway.cached_complete(prompt)
-    assert (exchange.source, exchange.reply_text, exchange.latency) == (
-        ExchangeSource.CACHE, "old", 1.5)
-    path.unlink()  # imported: the store answers from now on
-    assert gateway.cached_complete(prompt).reply_text == "old"
-    assert transport.calls == 0
-    gateway.close()
-    assert store_rows(tmp_path / "cache") == {
-        _cache_key(gateway.config, prompt): ("old", 1.5, hashlib.sha256(b"old").hexdigest())}
-
-
-def test_a_cache_entry_in_the_seven_field_layout_still_hits(tmp_path):
-    gateway, transport = _cached_gateway(tmp_path, [])
-    prompt = prompt_for("q")
-    # older versions also stored the three parts of the key
-    _legacy_entry(gateway, prompt, "old", 2.5, fingerprint=prompt.fingerprint,
-                  model_name=gateway.config.model_name,
-                  temperature=gateway.config.temperature)
-    exchange = gateway.cached_complete(prompt)
-    assert (exchange.reply_text, exchange.latency) == ("old", 2.5)
-    assert exchange.source is ExchangeSource.CACHE
-    assert transport.calls == 0
-
-
-def test_a_corrupt_legacy_entry_is_a_logged_miss(tmp_path, caplog):
+def test_an_entry_file_of_the_old_layout_is_neither_read_nor_removed(tmp_path):
     gateway, transport = _cached_gateway(tmp_path, ["new"])
     prompt = prompt_for("q")
-    _legacy_entry(gateway, prompt, "old", 1.5).write_text("[" * 200_000, encoding="utf-8")
-    with caplog.at_level("WARNING"):
+    path = _old_entry_file(gateway, prompt, "old")
+    before = path.read_bytes()
+    with gateway:
         assert gateway.cached_complete(prompt).reply_text == "new"
-    assert any("legacy cache entry" in r.message and "treating as miss" in r.message
-               for r in caplog.records)
+        exchange = gateway.cached_complete(prompt)
+    assert (exchange.source, exchange.reply_text) == (ExchangeSource.CACHE, "new")
     assert transport.calls == 1
-    assert gateway.cached_complete(prompt).source is ExchangeSource.CACHE
+    assert path.read_bytes() == before
+    assert clear_cache(gateway.config.cache_dir) == 1
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize(
@@ -761,11 +736,12 @@ def test_cache_stats_and_clear(tmp_path):
     assert count == 2
     store_files = ("cache.sqlite", "cache.sqlite-journal")
     assert size == sum((cache_dir / name).stat().st_size for name in store_files)
-    _legacy_entry(gateway, prompt_for("q3"), "three", 0.0)
-    (cache_dir / "cache.sqlite.corrupt").write_bytes(b"moved aside")
-    assert cache_stats(cache_dir) == (count, size)  # legacy entries are counted once imported
-    assert clear_cache(cache_dir) == 3
-    assert [p.name for p in cache_dir.iterdir()] == [".runlock"]
+    old_entry = _old_entry_file(gateway, prompt_for("q3"), "three")
+    for name in ("cache.sqlite.corrupt", "cache.sqlite.corrupt-journal"):
+        (cache_dir / name).write_bytes(b"moved aside")
+    assert cache_stats(cache_dir) == (count, size)  # only the store counts
+    assert clear_cache(cache_dir) == 2
+    assert sorted(p.name for p in cache_dir.iterdir()) == [".runlock", old_entry.name]
     assert cache_stats(cache_dir) == (0, 0)
 
 

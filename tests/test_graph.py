@@ -75,6 +75,8 @@ def test_normalize_label_lowercases_and_collapses_whitespace():
 
 
 def test_entity_requires_normalized_label():
+    with pytest.raises(ValueError, match="entity id must be non-empty"):
+        Entity(id="", canonical_label="fume")
     with pytest.raises(ValueError):
         Entity(id="x", canonical_label="Fume")
     with pytest.raises(ValueError):
@@ -384,6 +386,13 @@ def test_compare_graphs_identity():
     assert comparison.precision == 1
     assert comparison.recall == 1
     assert comparison.f1 == 1
+
+
+def test_a_graph_equals_no_other_type_and_reprs_its_counts():
+    graph = make_graph("abc", [("a", "b"), ("b", "c")])
+    assert graph.__eq__(object()) is NotImplemented
+    assert graph != object()
+    assert repr(graph) == "CausalGraph(kind=extracted, entities=3, arcs=2)"
 
 
 def test_compare_graphs_empty_extraction():

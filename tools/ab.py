@@ -3,8 +3,8 @@
     python3 tools/ab.py --base <rev> --workload W --seed S --pairs N --seconds T
                         --out BENCH_<label>.json
 
-The base revision is checked out into a temporary ``git worktree``; this
-checkout, uncommitted edits included, is the change. Each pair runs
+The base revision's tree is unpacked into a temporary directory with ``git
+archive``; this checkout, uncommitted edits included, is the change. Each pair runs
 ``perfbench/run.py --trace 0`` once on each side, the base first in even
 pairs and the change first in odd ones, so drift over time falls on both
 sides alike. Every run's result line is kept. For each end-to-end metric of
@@ -12,9 +12,9 @@ sides alike. Every run's result line is kept. For each end-to-end metric of
 prints each side's median and quartiles, how many pairs the change won, and
 a verdict:
 
-- ``gain``: the change won at least 90% of the pairs (and at least 3), and
-  its median is better by more than the distance between the base's
-  quartiles;
+- ``gain``: the change won at least 90% of the pairs (and at least 10), its
+  median is better by more than the distance between the base's quartiles,
+  and its share of failed units is no higher than the base's;
 - ``worse``: the change's median is worse by more than the bound;
 - ``unresolved``: the base's quartiles lie further apart than the bound, so
   a difference within the bound cannot be told from noise;
@@ -40,7 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MIN_PAIRS_FOR_GAIN = 3
+MIN_PAIRS_FOR_GAIN = 10
 WIN_SHARE_FOR_GAIN = 0.9
 
 
@@ -79,16 +79,19 @@ def _relative(delta: float, reference: float) -> float:
     return 0.0 if delta == 0 else float("inf")
 
 
-def _verdict(metric: dict, base: list[float], change: list[float]) -> dict:
-    """Medians, quartiles, wins and the verdict of one metric over paired runs."""
+def _verdict(metric: dict, base: list[float], change: list[float], may_gain: bool) -> dict:
+    """Medians, quartiles, wins and the verdict of one metric over paired runs.
+
+    With ``may_gain`` false the verdict is never ``gain``.
+    """
     sign = 1.0 if metric["better"] == "higher" else -1.0
     b_q1, b_median, b_q3 = _quartiles(base)
     c_q1, c_median, c_q3 = _quartiles(change)
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     gain = sign * (c_median - b_median)  # > 0 when the change is better
     spread = _relative(b_q3 - b_q1, b_median)
-    if (len(base) >= MIN_PAIRS_FOR_GAIN and wins >= WIN_SHARE_FOR_GAIN * len(base)
-            and gain > b_q3 - b_q1):
+    if (may_gain and len(base) >= MIN_PAIRS_FOR_GAIN
+            and wins >= WIN_SHARE_FOR_GAIN * len(base) and gain > b_q3 - b_q1):
         verdict = "gain"
     elif _relative(-gain, b_median) > metric["bound"]:
         verdict = "worse"
@@ -108,15 +111,17 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     by_side = {side: {run["pair"]: run["result"] for run in runs if run["side"] == side}
                for side in ("base", "change")}
     summary = {}
-    for metric in metrics:
-        name = metric["name"]
-        values = {side: [by_side[side][pair]["metrics"][name]["value"] for pair in pairs]
-                  for side in by_side}
-        summary[name] = _verdict(metric, values["base"], values["change"])
     for side, results in by_side.items():
         attempted = sum(r["attempted"] for r in results.values())
         failed = sum(r["failed"] for r in results.values())
         summary[f"failed_share_{side}"] = failed / attempted if attempted else None
+    # a change that fails more of its units gains nothing, however fast it is
+    may_gain = (summary["failed_share_change"] or 0) <= (summary["failed_share_base"] or 0)
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [by_side[side][pair]["metrics"][name]["value"] for pair in pairs]
+                  for side in by_side}
+        summary[name] = _verdict(metric, values["base"], values["change"], may_gain)
     return summary
 
 
@@ -151,21 +156,18 @@ def main(argv: list[str]) -> int:
     change_commit = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     runs = []
-    with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
-        worktree = Path(scratch) / "base"
-        _git("worktree", "add", "--detach", str(worktree), base_commit)
-        try:
-            for pair in range(args.pairs):
-                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-                for position, side in enumerate(order):
-                    run = _run(worktree if side == "base" else ROOT, args)
-                    runs.append({"pair": pair, "side": side, "position": position, **run})
-                    result = run["result"] or {}
-                    print(f"pair {pair} {side:<6} exit {run['exit']} correct "
-                          f"{result.get('correct')} in {run['wall_s']:.1f} s", flush=True)
-        finally:
-            _git("worktree", "remove", "--force", str(worktree))
-            _git("worktree", "prune")
+    with tempfile.TemporaryDirectory(prefix="ab-") as base_tree:
+        archive = subprocess.run(["git", "archive", base_commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
+        for pair in range(args.pairs):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            for position, side in enumerate(order):
+                run = _run(Path(base_tree) if side == "base" else ROOT, args)
+                runs.append({"pair": pair, "side": side, "position": position, **run})
+                result = run["result"] or {}
+                print(f"pair {pair} {side:<6} exit {run['exit']} correct "
+                      f"{result.get('correct')} in {run['wall_s']:.1f} s", flush=True)
 
     correct = all(run["exit"] == 0 and (run["result"] or {}).get("correct") for run in runs)
     comparison = {
