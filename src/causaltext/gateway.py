@@ -652,7 +652,7 @@ def cache_stats(cache_dir: Path | str) -> tuple[int, int]:
         return 0, 0
     with run_lock(cache_dir):
         rows = _store_rows(cache_dir)
-        store = (cache_dir / name for name in _CACHE_FILES[:2])
+        store = (cache_dir / STORE_NAME, cache_dir / f"{STORE_NAME}-journal")
         return rows, sum(p.stat().st_size for p in store if p.is_file())
 
 
