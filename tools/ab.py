@@ -4,13 +4,13 @@
                         --out BENCH_<label>.json
 
 The base revision's tree is unpacked into a temporary directory with ``git
-archive``; this checkout, uncommitted edits included, is the change. Each pair runs
-``perfbench/run.py --trace 0`` once on each side, the base first in even
-pairs and the change first in odd ones, so drift over time falls on both
-sides alike. Every run's result line is kept. For each end-to-end metric of
-``BENCHMARK.json`` (its bounds as they stand in this checkout) the script
-prints each side's median and quartiles, how many pairs the change won, and
-a verdict:
+archive``; this checkout, uncommitted edits included, is the change. Each
+pair runs ``perfbench/run.py --trace 0`` once on each side, the base first
+in even pairs and the change first in odd ones, so drift over time falls on
+both sides alike. Every run's result line is kept. For each end-to-end
+metric of ``BENCHMARK.json`` (its bounds as they stand in this checkout) the
+script prints each side's median and quartiles, how many pairs the change
+won, and a verdict:
 
 - ``gain``: the change won at least 90% of the pairs (and at least 10), its
   median is better by more than the distance between the base's quartiles,
