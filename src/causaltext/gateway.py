@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
+import http.client
 import json
 import logging
 import math
@@ -23,14 +24,14 @@ import random
 import sqlite3
 import threading
 import time
+import urllib.error
+import urllib.request
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol
 from urllib.parse import urlsplit
-
-import requests
 
 from .errors import (
     AuthError,
@@ -78,8 +79,13 @@ class ProviderConfig:
             raise ValueError("parallelism must be >= 1")
         if not (math.isfinite(self.requests_per_minute) and self.requests_per_minute > 0):
             raise ValueError("requests_per_minute must be a finite number > 0")
-        url = urlsplit(self.endpoint_url)
-        if url.scheme not in ("http", "https") or not url.hostname:
+        try:
+            url = urlsplit(self.endpoint_url)
+            url.port  # a port that is no number in [0, 65535] raises ValueError
+            valid = url.scheme in ("http", "https") and bool(url.hostname)
+        except ValueError:
+            valid = False
+        if not valid:
             raise ValueError(f"endpoint {self.endpoint_url!r} is not an http(s) URL")
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
 
@@ -252,18 +258,11 @@ class Transport(Protocol):
         """Return (reply_text, latency_seconds) for the prompt."""
 
 
-def _bearer(api_key: str) -> Callable[[requests.PreparedRequest], requests.PreparedRequest]:
-    """A ``requests`` auth hook that sends ``api_key`` as a Bearer token.
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follows no redirect, so the key never goes to another host; a 3xx is an error."""
 
-    Given as ``auth=``, it also keeps ``requests`` from looking the host up
-    in a netrc file, whose entry would replace the header with Basic auth.
-    """
-
-    def sign(request: requests.PreparedRequest) -> requests.PreparedRequest:
-        request.headers["Authorization"] = f"Bearer {api_key}"
-        return request
-
-    return sign
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
 
 
 class LiveTransport:
@@ -274,48 +273,49 @@ class LiveTransport:
     def __init__(self, config: ProviderConfig, limiter: TokenBucket | None = None):
         self._config = config
         self._limiter = limiter or TokenBucket(config.requests_per_minute)
-
-    def _messages(self, prompt: RenderedPrompt) -> list[dict[str, str]]:
-        messages = []
-        if prompt.system_text:
-            messages.append({"role": "system", "content": prompt.system_text})
-        messages.append({"role": "user", "content": prompt.user_text})
-        return messages
+        # proxies come from the environment as it is now; HTTPS uses the system trust store
+        self._opener = urllib.request.build_opener(_NoRedirect)
 
     def send(self, prompt: RenderedPrompt) -> tuple[str, float]:
         self._limiter.acquire()
         api_key = os.environ.get(self._config.api_key_env)
+        messages = [{"role": "user", "content": prompt.user_text}]
+        if prompt.system_text:
+            messages.insert(0, {"role": "system", "content": prompt.system_text})
         payload = {
             "model": self._config.model_name,
             "temperature": self._config.temperature,
-            "messages": self._messages(prompt),
+            "messages": messages,
         }
+        headers = {"Content-Type": "application/json"}
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
+        data = json.dumps(payload).encode("utf-8")
+        request = urllib.request.Request(self._config.endpoint_url, data, headers)
         started = time.monotonic()
         try:
-            response = requests.post(
-                self._config.endpoint_url,
-                json=payload,
-                headers={"Content-Type": "application/json"},
-                auth=_bearer(api_key) if api_key else None,
-                timeout=REQUEST_TIMEOUT_S,
-            )
-        except (requests.Timeout, requests.ConnectionError) as exc:
+            with self._opener.open(request, timeout=REQUEST_TIMEOUT_S) as response:
+                status, body = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status, body = exc.code, b""
+        except OSError as exc:  # refused, reset, timed out, TLS, dropped before the reply
             raise _TransientProviderError(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise ProviderUnavailableError(f"request failed: {exc}") from exc
+        except ValueError:
+            # not the message: http.client quotes the header it refuses, the key included
+            raise ProviderUnavailableError("request failed: invalid header or URL") from None
+        except http.client.HTTPException as exc:  # a truncated body, a garbled status line
+            raise ProviderUnavailableError(f"request failed: {exc!r}") from exc
         latency = time.monotonic() - started
 
-        if response.status_code in (401, 403):
-            raise AuthError(f"provider rejected the credential ({response.status_code})")
-        if response.status_code in (408, 429) or response.status_code >= 500:
-            raise _TransientProviderError(f"status {response.status_code}")
-        if response.status_code != 200:
-            raise ProviderUnavailableError(
-                f"provider answered status {response.status_code}; not retryable"
-            )
+        if status in (401, 403):
+            raise AuthError(f"provider rejected the credential ({status})")
+        if status in (408, 429) or status >= 500:
+            raise _TransientProviderError(f"status {status}")
+        if status != 200:
+            raise ProviderUnavailableError(f"provider answered status {status}; not retryable")
         try:
-            body = response.json()
-            reply = body["choices"][0]["message"]["content"]
+            reply = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedProviderResponseError(
                 f"cannot read completion from response: {exc}"

@@ -1628,15 +1628,15 @@ def test_config_file_numbers_keep_their_meaning(tmp_path, monkeypatch):
 
 
 def test_non_http_endpoint_exits_one_before_any_request(tmp_path, runner, monkeypatch):
-    import requests
+    import urllib.request
 
     calls = []
 
-    def refuse(url, **kwargs):
-        calls.append(url)
-        raise requests.exceptions.InvalidSchema(f"No connection adapters were found for {url!r}")
+    def refuse(opener, request, *args, **kwargs):
+        calls.append(request.full_url)
+        raise AssertionError("a request was made")
 
-    monkeypatch.setattr(requests, "post", refuse)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", refuse)
     config_path = tmp_path / "config.json"
     config_path.write_text(
         json.dumps({"endpoint": "localhost:9/v1/chat/completions"}), encoding="utf-8"
@@ -1650,6 +1650,40 @@ def test_non_http_endpoint_exits_one_before_any_request(tmp_path, runner, monkey
     assert result.exit_code == 1, result.output
     assert "error: endpoint 'localhost:9/v1/chat/completions' is not" in result.output
     assert calls == []
+
+
+@pytest.mark.parametrize("port", ["abc", "99999"])
+def test_an_endpoint_with_a_bad_port_exits_one_before_the_run_lock(tmp_path, runner, port):
+    endpoint = f"http://localhost:{port}/v1/chat/completions"
+    doc = tmp_path / "doc.txt"
+    doc.write_text("rain makes the ground wet", encoding="utf-8")
+    result = runner.invoke(
+        main, ["extract", "--out", str(tmp_path / "out"), str(doc)],
+        env=_env(tmp_path, CAUSALTEXT_ENDPOINT=endpoint), catch_exceptions=False,
+    )
+    assert result.exit_code == 1, result.output
+    assert f"error: endpoint {endpoint!r} is not an http(s) URL" in result.output
+    assert not (tmp_path / "cache").exists()
+
+
+def test_a_key_holding_a_line_break_fails_each_document_alone(tmp_path, runner):
+    # a key read from a CRLF file with $(cat key) keeps its "\r"; no request can carry it
+    docs = []
+    for name in ("doc0", "doc1"):
+        docs.append(tmp_path / f"{name}.txt")
+        docs[-1].write_text("rain makes the ground wet", encoding="utf-8")
+    result = runner.invoke(
+        main, ["extract", "--out", str(tmp_path / "out"), *map(str, docs)],
+        env=_env(tmp_path, OPENAI_API_KEY="sk-secret\r",
+                 CAUSALTEXT_ENDPOINT="http://127.0.0.1:9/v1/chat/completions",
+                 CAUSALTEXT_REQUESTS_PER_MINUTE="1e9"),
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 2, result.output
+    failures = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(failures) == 2, result.output
+    assert all("request failed" in line for line in failures)
+    assert "sk-secret" not in result.output
 
 
 def test_an_entity_cap_below_two_is_refused_before_the_lock_and_any_query(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -14,7 +15,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-import requests
 
 from causaltext import gateway as gateway_module
 from causaltext.errors import (
@@ -219,17 +219,31 @@ def test_gateway_records_transport_replies_and_cache_hits(provider_config):
 
 
 class _FakeHandler(BaseHTTPRequestHandler):
+    """Answers each request with the next script entry: (status, payload) or a callable.
+
+    A callable gets the handler and writes (or withholds) the reply itself.
+    """
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length)) if length else {}
-        self.server.requests.append({"headers": dict(self.headers), "body": body})
-        status, payload = self.server.script.pop(0)
+        self.server.requests.append(
+            {"method": self.command, "path": self.path, "headers": dict(self.headers),
+             "body": body}
+        )
+        reply = self.server.script.pop(0)
+        if callable(reply):
+            reply(self)
+            return
+        status, payload = reply
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    do_GET = do_POST  # a followed redirect may come back as a GET
 
     def log_message(self, *args):
         pass
@@ -359,6 +373,77 @@ def test_live_other_client_errors_fail_fast(fake_endpoint):
     with pytest.raises(ProviderUnavailableError):
         Gateway(config, LiveTransport(config)).complete(prompt_for("bad request"))
     assert len(fake_endpoint.requests) == 1
+
+
+def test_live_reply_held_past_the_timeout_is_retried_up_to_max_retries(
+    fake_endpoint, monkeypatch
+):
+    monkeypatch.setattr(gateway_module, "REQUEST_TIMEOUT_S", 0.2)
+    fake_endpoint.script.extend([lambda handler: time.sleep(0.6)] * 3)
+    config = _live_config(fake_endpoint, max_retries=2)
+    started = time.monotonic()
+    with pytest.raises(ProviderUnavailableError, match="gave up after 3 attempts"):
+        Gateway(config, LiveTransport(config)).complete(prompt_for("slow"))
+    assert len(fake_endpoint.requests) == 3
+    assert time.monotonic() - started < 3 * 0.2 + 1.0
+
+
+def _cut_short(handler):
+    data = json.dumps(GOOD_PAYLOAD).encode("utf-8")
+    handler.send_response(200)
+    handler.send_header("Content-Length", str(len(data)))
+    handler.end_headers()
+    handler.wfile.write(data[: len(data) // 2])
+    handler.close_connection = True
+
+
+def test_live_body_cut_short_of_its_length_fails_after_one_attempt(fake_endpoint):
+    fake_endpoint.script.extend([_cut_short, (200, GOOD_PAYLOAD)])
+    config = _live_config(fake_endpoint)
+    with pytest.raises(ProviderUnavailableError, match="IncompleteRead"):
+        Gateway(config, LiveTransport(config)).complete(prompt_for("cut"))
+    assert len(fake_endpoint.requests) == 1
+
+
+@pytest.mark.parametrize("status", [302, 307])
+def test_live_redirect_is_not_followed(fake_endpoint, monkeypatch, status):
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+
+    def redirect(handler):
+        handler.send_response(status)
+        handler.send_header("Location", f"http://127.0.0.1:{fake_endpoint.server_address[1]}/x")
+        handler.send_header("Content-Length", "0")
+        handler.end_headers()
+
+    fake_endpoint.script.extend([redirect, (200, GOOD_PAYLOAD), (200, GOOD_PAYLOAD)])
+    config = _live_config(fake_endpoint)
+    with pytest.raises(ProviderUnavailableError, match=f"status {status}; not retryable"):
+        Gateway(config, LiveTransport(config)).complete(prompt_for("moved"))
+    assert [request["path"] for request in fake_endpoint.requests] == ["/chat"]
+
+
+def test_live_closed_port_is_retried(monkeypatch):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    config = ProviderConfig(endpoint_url=f"http://127.0.0.1:{port}/chat", backoff_base=0.0,
+                            requests_per_minute=1e9, max_retries=2)
+    transport = CountingTransport(LiveTransport(config))
+    with pytest.raises(ProviderUnavailableError, match="gave up after 3 attempts"):
+        Gateway(config, transport).complete(prompt_for("nobody home"))
+    assert transport.calls == 3
+
+
+def test_live_reads_no_netrc_file(fake_endpoint, monkeypatch, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    fake_endpoint.script.append((200, GOOD_PAYLOAD))
+    config = _live_config(fake_endpoint)
+    Gateway(config, LiveTransport(config)).complete(prompt_for("q"))
+    assert "Authorization" not in fake_endpoint.requests[0]["headers"]
 
 
 # --- cache ---------------------------------------------------------------------
@@ -756,37 +841,35 @@ def test_provider_config_validation():
         with pytest.raises(ValueError, match="requests_per_minute must be a finite number"):
             ProviderConfig(requests_per_minute=rate)
     for url in ("localhost:9/v1/chat/completions", "ftp://host/chat", "http:///chat",
-                "https://", "/v1/chat/completions"):
+                "https://", "/v1/chat/completions", "http://localhost:abc/v1/chat/completions",
+                "http://localhost:99999/v1/chat/completions"):
         with pytest.raises(ValueError, match="http"):
             ProviderConfig(endpoint_url=url)
 
 
-def test_live_unretryable_request_error_is_provider_unavailable(monkeypatch):
-    # no request leaves the process: requests.post itself is replaced
-    calls = []
-
-    def refuse(url, **kwargs):
-        calls.append(url)
-        raise requests.exceptions.InvalidHeader("bad header")
-
-    monkeypatch.setattr(requests, "post", refuse)
-    config = ProviderConfig(backoff_base=0.0, requests_per_minute=1e9)
-    gateway = Gateway(config, LiveTransport(config))
-    with pytest.raises(ProviderUnavailableError, match="bad header"):
-        gateway.complete(prompt_for("q"))
-    assert len(calls) == 1
+def test_live_unretryable_request_error_is_provider_unavailable(fake_endpoint, monkeypatch):
+    # a key read from a CRLF file keeps its "\r", which no header may hold
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-secret\r")
+    config = _live_config(fake_endpoint)
+    transport = CountingTransport(LiveTransport(config))
+    with pytest.raises(ProviderUnavailableError, match="request failed") as raised:
+        Gateway(config, transport).complete(prompt_for("q"))
+    assert transport.calls == 1
+    assert "sk-secret" not in str(raised.value)
+    assert fake_endpoint.requests == []
 
 
 def test_live_connection_error_is_retried_then_provider_unavailable(monkeypatch):
-    # no request leaves the process: requests.post itself is replaced
+    # no request leaves the process: the socket connect itself is replaced
     calls = []
 
-    def reset(url, **kwargs):
-        calls.append(kwargs["timeout"])
-        raise requests.ConnectionError("connection reset")
+    def reset(address, timeout=None, *args, **kwargs):
+        calls.append(timeout)
+        raise ConnectionResetError("connection reset")
 
-    monkeypatch.setattr(requests, "post", reset)
-    config = ProviderConfig(backoff_base=0.0, requests_per_minute=1e9, max_retries=2)
+    monkeypatch.setattr(socket, "create_connection", reset)
+    config = ProviderConfig(endpoint_url="http://127.0.0.1:9/chat", backoff_base=0.0,
+                            requests_per_minute=1e9, max_retries=2)
     gateway = Gateway(config, LiveTransport(config))
     with pytest.raises(ProviderUnavailableError, match="gave up after 3 attempts"):
         gateway.complete(prompt_for("q"))

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import causaltext
 from causaltext.gateway import ReplayFixture
 from causaltext.graph import parse_graph
@@ -51,10 +53,11 @@ def test_every_readme_json_example_loads(tmp_path):
     assert sorted(sections) == sorted(README_LOADERS)
 
 
-def test_the_cli_imports_without_networkx():
-    # networkx is a test dependency only; the package must not need it
+@pytest.mark.parametrize("module", ["networkx", "requests"])
+def test_the_cli_imports_without_networkx(module):
+    # networkx and requests are test dependencies only; the package must not need them
     child = subprocess.run(
-        [sys.executable, "-c", "import causaltext.cli, sys; print('networkx' in sys.modules)"],
+        [sys.executable, "-c", f"import causaltext.cli, sys; print({module!r} in sys.modules)"],
         env=child_env(),
         capture_output=True, text=True, timeout=60,
     )

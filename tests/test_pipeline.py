@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from causaltext import pipeline as pipeline_module
 from causaltext.errors import (
     AuthError,
     FixtureMissError,
@@ -566,6 +567,53 @@ def test_fan_out_raises_the_first_error_and_starts_almost_nothing_after_it():
     assert list(fan_out(lambda item: item * 2, range(1000), parallelism=8)) == [
         item * 2 for item in range(1000)
     ]
+
+
+def test_fan_out_reraises_the_first_error_when_a_later_item_ran_first(monkeypatch):
+    class OutOfOrderPool:
+        """Runs item 1 before item 0, then yields the outcomes in input order."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            outcomes = {}
+            for index in (1, 0):
+                try:
+                    outcomes[index] = (fn(items[index]), None)
+                except Exception as exc:
+                    outcomes[index] = (None, exc)
+
+            def in_order():
+                for index in range(len(items)):
+                    value, error = outcomes[index]
+                    if error is not None:
+                        raise error
+                    yield value
+
+            return in_order()
+
+    boom = KeyError("item 1")
+    ran = []
+
+    def call(item):
+        ran.append(item)
+        if item == 1:
+            raise boom
+        return item
+
+    monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", OutOfOrderPool)
+    with pytest.raises(KeyError) as raised:
+        list(fan_out(call, [0, 1], parallelism=2))
+    assert raised.value is boom
+    assert ran == [1]
 
 
 def test_run_pipeline_enforce_acyclic(gateway_factory):
