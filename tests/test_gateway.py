@@ -228,8 +228,7 @@ class _FakeHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length)) if length else {}
         self.server.requests.append(
-            {"method": self.command, "path": self.path, "headers": dict(self.headers),
-             "body": body}
+            {"path": self.path, "headers": dict(self.headers), "body": body}
         )
         reply = self.server.script.pop(0)
         if callable(reply):
@@ -379,7 +378,8 @@ def test_live_reply_held_past_the_timeout_is_retried_up_to_max_retries(
     fake_endpoint, monkeypatch
 ):
     monkeypatch.setattr(gateway_module, "REQUEST_TIMEOUT_S", 0.2)
-    fake_endpoint.script.extend([lambda handler: time.sleep(0.6)] * 3)
+    # held far longer than the three attempts may take together
+    fake_endpoint.script.extend([lambda handler: time.sleep(2.0)] * 3)
     config = _live_config(fake_endpoint, max_retries=2)
     started = time.monotonic()
     with pytest.raises(ProviderUnavailableError, match="gave up after 3 attempts"):
@@ -422,7 +422,7 @@ def test_live_redirect_is_not_followed(fake_endpoint, monkeypatch, status):
     assert [request["path"] for request in fake_endpoint.requests] == ["/chat"]
 
 
-def test_live_closed_port_is_retried(monkeypatch):
+def test_live_closed_port_is_retried():
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
