@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import click
 
@@ -39,11 +39,11 @@ from .graph import (
     GraphFormat,
     GraphKind,
     _encodable,
+    _json_text,
     compare_graphs,
     parse_graph,
     serialize_graph,
 )
-from .jsontext import _json_chunks
 from .pipeline import PipelineConfig, run_pipeline, run_report
 
 ENV_PREFIX = "CAUSALTEXT"
@@ -244,17 +244,17 @@ def _read_input(path: str) -> str:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None
 
 
-def _write(path: Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, or the text chunks of an iterable, atomically to ``path``."""
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` atomically to ``path``."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomically(path, (text,) if isinstance(text, str) else text)
+        _write_atomically(path, text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from None
 
 
 def _write_json(path: Path, payload: object) -> None:
-    _write(path, _json_chunks(payload))
+    _write(path, _json_text(payload))
 
 
 def _fail(message: str, code: int = 1) -> None:

@@ -30,7 +30,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterator, Protocol
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -42,8 +42,7 @@ from .errors import (
     ProviderUnavailableError,
     RunLockHeldError,
 )
-from .graph import _encodable
-from .jsontext import _json_chunks
+from .graph import _encodable, _json_text
 from .prompts import RenderedPrompt
 
 log = logging.getLogger(__name__)
@@ -126,17 +125,16 @@ def _checked_latency(value: object) -> float:
     return float(value)
 
 
-def _write_atomically(path: Path | str, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` as UTF-8 to ``<path>.tmp``, then rename it over ``path``.
+def _write_atomically(path: Path | str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``<path>.tmp``, then rename it over ``path``.
 
-    Chunks are written as they come, so a caller can stream a file it never
-    holds whole. A failed or killed write leaves the old file as it was. On
-    any exception the scratch file is removed and the exception re-raised.
+    A failed or killed write leaves the old file as it was. On any exception
+    the scratch file is removed and the exception re-raised.
     """
     scratch = f"{os.fspath(path)}.tmp"
     try:
         with open(scratch, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+            handle.write(text)
         os.replace(scratch, path)
     except BaseException:
         with suppress(OSError):
@@ -185,7 +183,7 @@ class ReplayFixture:
             },
         }
         try:
-            _write_atomically(path, _json_chunks(payload))
+            _write_atomically(path, _json_text(payload))
         except OSError as exc:
             raise GatewayError(f"cannot save replay fixture {path}: {exc}") from None
 

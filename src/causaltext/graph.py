@@ -25,7 +25,6 @@ from .errors import (
     SelfLoopError,
     UnknownEntityError,
 )
-from .jsontext import _json_chunks
 
 DEFAULT_CYCLE_CAP = 10_000
 
@@ -493,7 +492,12 @@ def serialize_graph(graph: CausalGraph, format: GraphFormat = GraphFormat.STRUCT
         "entities": [_entity_record(entity) for entity in graph.entities],
         "arcs": [_arc_record(arc) for arc in graph.arcs],
     }
-    return "".join(_json_chunks(payload))
+    return _json_text(payload)
+
+
+def _json_text(payload: object) -> str:
+    """The text of every JSON file the package writes: indented, non-ASCII kept as is."""
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
 _REQUIRED = object()
