@@ -53,6 +53,9 @@ from .prompts import (
 log = logging.getLogger(__name__)
 
 DEFAULT_ENTITY_CAP = 20
+# run_pipeline's stages in order: a failure is in the stage after the last completed one
+_STAGES = ("extract_entities", "enumerate_pairs", "query_orientation", "build_graph",
+           "audit_graph")
 
 PairKey = tuple[str, str]
 
@@ -266,13 +269,14 @@ def run_pipeline(
 ) -> PipelineRun:
     """Run the whole extraction for one document.
 
-    Stages: entity extraction, pair enumeration, orientation queries (with
-    bounded parallelism), graph assembly, cycle and transitive analyses, and
-    optional acyclicity enforcement. ``domain_hint`` steers only the entity
-    prompt. Any :class:`CausalTextError` from a stage is re-raised as
-    :class:`PipelineStageError` naming the last completed stage and carrying
-    every partial result gathered so far, including every verdict answered
-    before (or alongside) a failing orientation query.
+    Stages (:data:`_STAGES`): entity extraction, pair enumeration, orientation
+    queries (with bounded parallelism), graph assembly, then the cycle and
+    transitive audits with optional acyclicity enforcement. ``domain_hint``
+    steers only the entity prompt. Any :class:`CausalTextError` from a stage
+    is re-raised as :class:`PipelineStageError`, whose message names the stage
+    that failed and the last completed one; it carries every partial result
+    gathered so far, including every verdict answered before (or alongside) a
+    failing orientation query.
     """
     partial: dict = {}
     completed: str | None = None
@@ -318,8 +322,10 @@ def run_pipeline(
             ArcFlag.ON_DIRECTED_CYCLE: () if removed else cycle_report.on_cycle_pairs,
         })
     except CausalTextError as exc:
+        failed = _STAGES[_STAGES.index(completed) + 1] if completed else _STAGES[0]
+        after = f" after stage {completed}" if completed else ""
         raise PipelineStageError(
-            f"pipeline aborted after stage {completed!r}: {exc}", completed, partial
+            f"stage {failed} failed{after}: {exc}", completed, partial
         ) from exc
 
     return PipelineRun(

@@ -396,17 +396,22 @@ def test_run_pipeline_counts_reasks(gateway_factory):
 
 
 def test_replayed_run_touches_no_network(gateway_factory, monkeypatch):
-    import requests
+    import socket
+
+    attempts = []
 
     def refuse(*args, **kwargs):
-        raise AssertionError("replayed run attempted a network call")
+        attempts.append(args)
+        raise AssertionError("replayed run attempted a network connection")
 
-    monkeypatch.setattr(requests, "post", refuse)
-    monkeypatch.setattr(requests, "get", refuse)
+    # every TCP client path (urllib, http.client, a bare socket) connects through these
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
     source_text, fixture = pipeline_document(5)
     gateway, _ = gateway_factory(fixture)
     run = run_pipeline(source_text, "", PipelineConfig(), gateway)
     assert run.stats.query_count == 10
+    assert attempts == []
 
 
 def test_pipeline_cycles_are_never_two_cycles(gateway_factory):
@@ -445,6 +450,9 @@ def test_run_pipeline_reports_completed_stage_on_failure(gateway_factory):
     with pytest.raises(PipelineStageError) as excinfo:
         run_pipeline(source_text, "", PipelineConfig(), gateway)
     assert excinfo.value.completed_stage == "enumerate_pairs"
+    assert str(excinfo.value).startswith(
+        "stage query_orientation failed after stage enumerate_pairs: no fixture entry"
+    )
     assert len(excinfo.value.partial["entities"]) == 4
 
 
