@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import random
+import re
 import sqlite3
 import threading
 import time
@@ -81,12 +82,45 @@ class ProviderConfig:
         try:
             url = urlsplit(self.endpoint_url)
             url.port  # a port that is no number in [0, 65535] raises ValueError
-            valid = url.scheme in ("http", "https") and bool(url.hostname)
+            valid = (url.scheme in ("http", "https") and bool(url.hostname)
+                     and _sendable(self.endpoint_url))
         except ValueError:
             valid = False
         if not valid:
-            raise ValueError(f"endpoint {self.endpoint_url!r} is not an http(s) URL")
+            raise ValueError(
+                f"endpoint {self.endpoint_url!r} is not an http(s) URL that can be sent as it is"
+            )
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
+
+
+# C0 and C1 controls, space and DEL: refused anywhere in an endpoint, neither stripped nor
+# escaped
+_CONTROL_OR_SPACE = re.compile(r"[\x00-\x20\x7f-\x9f]")
+
+
+def _sendable(endpoint: str) -> bool:
+    """Whether urllib can send to ``endpoint`` as it is; nothing is sent.
+
+    Refused: a control character or space anywhere; a request line or
+    ``Host`` header that http.client refuses (non-ASCII in the path or
+    query, a host outside Latin-1); a host the socket layer's ``idna``
+    codec refuses.
+    """
+    if _CONTROL_OR_SPACE.search(endpoint):
+        return False
+    request = urllib.request.Request(endpoint)  # its host is the netloc, percent-decoded
+    try:
+        connection = http.client.HTTPConnection(request.host)
+        connection.putrequest("POST", request.selector, skip_host=True, skip_accept_encoding=True)
+        connection.putheader("Host", request.host)
+        connection.host.encode("idna")
+    except (http.client.InvalidURL, UnicodeError):
+        return False
+    return True
+
+
+# what no header value can carry: a line break or NUL, or a character past Latin-1
+_UNSENDABLE_KEY = re.compile("[\r\n\0\u0100-\U0010ffff]")
 
 
 class ExchangeSource(Enum):
@@ -269,14 +303,24 @@ class LiveTransport:
     source = ExchangeSource.LIVE
 
     def __init__(self, config: ProviderConfig, limiter: TokenBucket | None = None):
+        """The key is read here, once, from ``config.api_key_env``: a key that no
+        request header can carry raises :class:`GatewayError`, which does not quote it."""
         self._config = config
         self._limiter = limiter or TokenBucket(config.requests_per_minute)
         # proxies come from the environment as it is now; HTTPS uses the system trust store
         self._opener = urllib.request.build_opener(_NoRedirect)
+        self._headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(config.api_key_env)
+        if api_key and _UNSENDABLE_KEY.search(api_key):
+            raise GatewayError(
+                f"the key in {config.api_key_env} holds a line break, a NUL or a character "
+                "outside Latin-1, which no request header can carry"
+            )
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
 
     def send(self, prompt: RenderedPrompt) -> tuple[str, float]:
         self._limiter.acquire()
-        api_key = os.environ.get(self._config.api_key_env)
         messages = [{"role": "user", "content": prompt.user_text}]
         if prompt.system_text:
             messages.insert(0, {"role": "system", "content": prompt.system_text})
@@ -285,11 +329,8 @@ class LiveTransport:
             "temperature": self._config.temperature,
             "messages": messages,
         }
-        headers = {"Content-Type": "application/json"}
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         data = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(self._config.endpoint_url, data, headers)
+        request = urllib.request.Request(self._config.endpoint_url, data, self._headers)
         started = time.monotonic()
         try:
             with self._opener.open(request, timeout=REQUEST_TIMEOUT_S) as response:
@@ -299,8 +340,8 @@ class LiveTransport:
             status, body = exc.code, b""
         except OSError as exc:  # refused, reset, timed out, TLS, dropped before the reply
             raise _TransientProviderError(str(exc)) from exc
-        except ValueError:
-            # not the message: http.client quotes the header it refuses, the key included
+        except ValueError:  # a proxy setting urllib cannot parse
+            # not the message: it quotes the proxy URL, a password included
             raise ProviderUnavailableError("request failed: invalid header or URL") from None
         except http.client.HTTPException as exc:  # a truncated body, a garbled status line
             raise ProviderUnavailableError(f"request failed: {exc!r}") from exc

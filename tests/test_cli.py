@@ -118,6 +118,23 @@ def test_extract_partial_batch_failure_exits_two(tmp_path, runner):
     assert not (out / "doc2.graph.json").exists()
 
 
+def test_a_document_whose_entity_query_fails_names_that_stage(tmp_path, runner):
+    source_text, fixture = pipeline_document(4)
+    del fixture.entries[render_entity_prompt(source_text, "").fingerprint]
+    fixture_path = tmp_path / "fixture.json"
+    fixture.save(fixture_path)
+    doc = tmp_path / "doc0.txt"
+    doc.write_text(source_text, encoding="utf-8")
+    result = runner.invoke(
+        main, ["extract", "--replay", str(fixture_path), "--out", str(tmp_path / "out"), str(doc)],
+        env=_env(tmp_path), catch_exceptions=False,
+    )
+    assert result.exit_code == 2, result.output
+    (line,) = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert line.startswith(f"error: {doc}: stage extract_entities failed: no fixture entry")
+    assert "after stage" not in line
+
+
 def test_a_reply_holding_a_lone_surrogate_fails_only_its_document(tmp_path, runner):
     entries = {}
     docs = []
@@ -1102,6 +1119,19 @@ def test_cache_clear_keeps_directories_and_names_a_file_it_cannot_remove(
     )
 
 
+def test_cache_commands_name_a_store_that_cannot_be_opened_and_leave_it(tmp_path, runner):
+    store = tmp_path / "cache" / "cache.sqlite"
+    store.mkdir(parents=True)  # a store that exists but SQLite cannot open
+    (store / "kept").write_text("x", encoding="utf-8")
+    for action in ("stats", "clear"):
+        result = runner.invoke(main, ["cache", action], env=_env(tmp_path),
+                               catch_exceptions=False)
+        assert (result.exit_code, result.output) == (
+            1, f"error: cannot read cache store {store}: unable to open database file\n"
+        ), action
+        assert (store / "kept").read_text(encoding="utf-8") == "x"
+
+
 def test_cache_clear_refused_while_lock_held(tmp_path, runner):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
@@ -1652,9 +1682,11 @@ def test_non_http_endpoint_exits_one_before_any_request(tmp_path, runner, monkey
     assert calls == []
 
 
-@pytest.mark.parametrize("port", ["abc", "99999"])
-def test_an_endpoint_with_a_bad_port_exits_one_before_the_run_lock(tmp_path, runner, port):
-    endpoint = f"http://localhost:{port}/v1/chat/completions"
+@pytest.mark.parametrize("endpoint", [
+    "http://localhost:abc/v1/chat/completions", "http://localhost:99999/v1/chat/completions",
+    "http://127.0.0.1:9/a b", "http://127.0.0.1:9/chät", "http://127.0.0.1:9/a\x01b",
+], ids=["port abc", "port 99999", "space", "non-ASCII path", "control character"])
+def test_an_endpoint_that_cannot_be_sent_exits_one_before_the_run_lock(tmp_path, runner, endpoint):
     doc = tmp_path / "doc.txt"
     doc.write_text("rain makes the ground wet", encoding="utf-8")
     result = runner.invoke(
@@ -1666,24 +1698,27 @@ def test_an_endpoint_with_a_bad_port_exits_one_before_the_run_lock(tmp_path, run
     assert not (tmp_path / "cache").exists()
 
 
-def test_a_key_holding_a_line_break_fails_each_document_alone(tmp_path, runner):
-    # a key read from a CRLF file with $(cat key) keeps its "\r"; no request can carry it
-    docs = []
-    for name in ("doc0", "doc1"):
-        docs.append(tmp_path / f"{name}.txt")
-        docs[-1].write_text("rain makes the ground wet", encoding="utf-8")
+@pytest.mark.parametrize("key", ["sk-secret\r", "sk-secret\n", "sk-secret\0", "sk-secretкл"],
+                         ids=["CR", "LF", "NUL", "outside Latin-1"])
+def test_a_key_no_header_can_carry_exits_one_before_the_run_lock(tmp_path, runner, monkeypatch,
+                                                                  key):
+    # a key read from a CRLF file with $(cat key) keeps its "\r"; no environment variable can
+    # hold a NUL, so the process environment is replaced by a mapping for this test
+    monkeypatch.setattr(os, "environ", {**os.environ, "OPENAI_API_KEY": key})
+    doc = tmp_path / "doc.txt"
+    doc.write_text("rain makes the ground wet", encoding="utf-8")
     result = runner.invoke(
-        main, ["extract", "--out", str(tmp_path / "out"), *map(str, docs)],
-        env=_env(tmp_path, OPENAI_API_KEY="sk-secret\r",
-                 CAUSALTEXT_ENDPOINT="http://127.0.0.1:9/v1/chat/completions",
-                 CAUSALTEXT_REQUESTS_PER_MINUTE="1e9"),
+        main, ["extract", "--out", str(tmp_path / "out"), str(doc)],
+        env=_env(tmp_path, CAUSALTEXT_ENDPOINT="http://127.0.0.1:9/v1/chat/completions"),
         catch_exceptions=False,
     )
-    assert result.exit_code == 2, result.output
-    failures = [line for line in result.output.splitlines() if line.startswith("error:")]
-    assert len(failures) == 2, result.output
-    assert all("request failed" in line for line in failures)
-    assert "sk-secret" not in result.output
+    assert result.exit_code == 1, result.output
+    assert result.output == (
+        "error: the key in OPENAI_API_KEY holds a line break, a NUL or a character outside"
+        " Latin-1, which no request header can carry\n"
+    )
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_an_entity_cap_below_two_is_refused_before_the_lock_and_any_query(

@@ -15,6 +15,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causaltext import gateway as gateway_module
 from causaltext.errors import (
@@ -835,14 +837,61 @@ def test_provider_config_validation():
             ProviderConfig(requests_per_minute=rate)
     for url in ("localhost:9/v1/chat/completions", "ftp://host/chat", "http:///chat",
                 "https://", "/v1/chat/completions", "http://localhost:abc/v1/chat/completions",
-                "http://localhost:99999/v1/chat/completions"):
+                "http://localhost:99999/v1/chat/completions", "http://127.0.0.1:9/a b",
+                "http://127.0.0.1:9/chät", "http://127.0.0.1:9/a\x01b"):
         with pytest.raises(ValueError, match="http"):
             ProviderConfig(endpoint_url=url)
 
 
+class _Connecting(Exception):
+    """Raised in place of a connect: the request passed every check made before it."""
+
+
+# plain host and path pieces around one piece that http.client, urllib or the idna codec may
+# treat apart (or none); http only, as https makes the same checks and builds a TLS context
+# per request
+_HOST = st.lists(st.sampled_from(["a", "7", ".", "-", "ä", ":9"]), min_size=1, max_size=3).map(
+    "".join)
+_PATH = st.lists(st.sampled_from(["/", "a", "?", "#", "%41"]), max_size=3).map("".join)
+ENDPOINTS = st.builds(
+    "http://{}{}{}{}{}{}".format,
+    _HOST, st.sampled_from(["", "%20", "%", "@", ":", "ч", " ", "\x01", "[", "]", "a" * 64]),
+    _HOST,
+    _PATH, st.sampled_from(["", "ä", " ", "\x7f", "\x85", "\r", "%"]), _PATH,
+)
+
+
+def test_every_endpoint_the_config_accepts_gets_past_http_client_to_the_socket(monkeypatch):
+    hosts = []
+
+    def connect(address, *args, **kwargs):
+        hosts.append(address[0])
+        raise _Connecting
+
+    monkeypatch.setattr(socket, "create_connection", connect)
+    for variable in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(variable, raising=False)
+    accepted = []
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(ENDPOINTS)
+    def check(endpoint):
+        try:
+            config = ProviderConfig(endpoint_url=endpoint, requests_per_minute=1e9)
+        except ValueError:
+            return
+        accepted.append(endpoint)
+        with pytest.raises(_Connecting):
+            LiveTransport(config).send(prompt_for("q"))
+        hosts.pop().encode("idna")  # as the socket layer encodes a host to look it up
+
+    check()
+    assert len(accepted) > 30
+
+
 def test_live_unretryable_request_error_is_provider_unavailable(fake_endpoint, monkeypatch):
-    # a key read from a CRLF file keeps its "\r", which no header may hold
-    monkeypatch.setenv("OPENAI_API_KEY", "sk-secret\r")
+    # a proxy URL with no host: urllib's ValueError quotes it, password included
+    monkeypatch.setenv("http_proxy", "http:/user:sk-secret")
     config = _live_config(fake_endpoint)
     transport = CountingTransport(LiveTransport(config))
     with pytest.raises(ProviderUnavailableError, match="request failed") as raised:
