@@ -52,6 +52,26 @@ RUN_LOCK_NAME = ".runlock"
 REQUEST_TIMEOUT_S = 60.0
 
 
+# refused anywhere in an endpoint: urllib strips some silently, http.client refuses the rest
+_CONTROL_OR_SPACE = re.compile(r"[\x00-\x20\x7f-\x9f]")
+
+
+def _sendable(endpoint: str) -> bool:
+    """Whether urllib sends ``endpoint`` as it is, past http.client's checks of its request
+    line and ``Host`` header and the socket layer's ``idna`` codec; nothing is sent."""
+    if _CONTROL_OR_SPACE.search(endpoint):
+        return False
+    request = urllib.request.Request(endpoint)  # its host is the netloc, percent-decoded
+    try:
+        connection = http.client.HTTPConnection(request.host)
+        connection.putrequest("POST", request.selector, skip_host=True, skip_accept_encoding=True)
+        connection.putheader("Host", request.host)
+        connection.host.encode("idna")
+    except (http.client.InvalidURL, UnicodeError):
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ProviderConfig:
     """Connection and behaviour knobs for the chat-completion provider.
@@ -87,40 +107,8 @@ class ProviderConfig:
         except ValueError:
             valid = False
         if not valid:
-            raise ValueError(
-                f"endpoint {self.endpoint_url!r} is not an http(s) URL that can be sent as it is"
-            )
+            raise ValueError(f"endpoint {self.endpoint_url!r} is not an http(s) URL")
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
-
-
-# C0 and C1 controls, space and DEL: refused anywhere in an endpoint, neither stripped nor
-# escaped
-_CONTROL_OR_SPACE = re.compile(r"[\x00-\x20\x7f-\x9f]")
-
-
-def _sendable(endpoint: str) -> bool:
-    """Whether urllib can send to ``endpoint`` as it is; nothing is sent.
-
-    Refused: a control character or space anywhere; a request line or
-    ``Host`` header that http.client refuses (non-ASCII in the path or
-    query, a host outside Latin-1); a host the socket layer's ``idna``
-    codec refuses.
-    """
-    if _CONTROL_OR_SPACE.search(endpoint):
-        return False
-    request = urllib.request.Request(endpoint)  # its host is the netloc, percent-decoded
-    try:
-        connection = http.client.HTTPConnection(request.host)
-        connection.putrequest("POST", request.selector, skip_host=True, skip_accept_encoding=True)
-        connection.putheader("Host", request.host)
-        connection.host.encode("idna")
-    except (http.client.InvalidURL, UnicodeError):
-        return False
-    return True
-
-
-# what no header value can carry: a line break or NUL, or a character past Latin-1
-_UNSENDABLE_KEY = re.compile("[\r\n\0\u0100-\U0010ffff]")
 
 
 class ExchangeSource(Enum):
@@ -290,6 +278,10 @@ class Transport(Protocol):
         """Return (reply_text, latency_seconds) for the prompt."""
 
 
+# what no header value can carry: a line break or NUL, or a character past Latin-1
+_UNSENDABLE_KEY = re.compile("[\r\n\0\u0100-\U0010ffff]")
+
+
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
     """Follows no redirect, so the key never goes to another host; a 3xx is an error."""
 
@@ -298,25 +290,28 @@ class _NoRedirect(urllib.request.HTTPRedirectHandler):
 
 
 class LiveTransport:
-    """HTTP chat-completions client with a shared token-bucket limiter."""
+    """HTTP chat-completions client with a shared token-bucket limiter.
+
+    The key is read from ``config.api_key_env`` once, when the transport is
+    made; a key that no request header can carry raises :class:`GatewayError`,
+    whose message does not quote it.
+    """
 
     source = ExchangeSource.LIVE
 
     def __init__(self, config: ProviderConfig, limiter: TokenBucket | None = None):
-        """The key is read here, once, from ``config.api_key_env``: a key that no
-        request header can carry raises :class:`GatewayError`, which does not quote it."""
         self._config = config
         self._limiter = limiter or TokenBucket(config.requests_per_minute)
         # proxies come from the environment as it is now; HTTPS uses the system trust store
         self._opener = urllib.request.build_opener(_NoRedirect)
         self._headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(config.api_key_env)
-        if api_key and _UNSENDABLE_KEY.search(api_key):
-            raise GatewayError(
-                f"the key in {config.api_key_env} holds a line break, a NUL or a character "
-                "outside Latin-1, which no request header can carry"
-            )
         if api_key:
+            if _UNSENDABLE_KEY.search(api_key):
+                raise GatewayError(
+                    f"the key in {config.api_key_env} holds a line break, a NUL or a character"
+                    " outside Latin-1, which no request header can carry"
+                )
             self._headers["Authorization"] = f"Bearer {api_key}"
 
     def send(self, prompt: RenderedPrompt) -> tuple[str, float]:

@@ -322,11 +322,9 @@ def run_pipeline(
             ArcFlag.ON_DIRECTED_CYCLE: () if removed else cycle_report.on_cycle_pairs,
         })
     except CausalTextError as exc:
-        failed = _STAGES[_STAGES.index(completed) + 1] if completed else _STAGES[0]
+        stage = _STAGES[_STAGES.index(completed) + 1] if completed else _STAGES[0]
         after = f" after stage {completed}" if completed else ""
-        raise PipelineStageError(
-            f"stage {failed} failed{after}: {exc}", completed, partial
-        ) from exc
+        raise PipelineStageError(f"stage {stage} failed{after}: {exc}", completed, partial) from exc
 
     return PipelineRun(
         entities=entities,
